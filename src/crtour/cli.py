@@ -56,12 +56,16 @@ def _emit_tournament(t: Tournament, args) -> None:
     sys.stdout.write(format_skew(t) if getattr(args, "skew", False) else format_trn(t))
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidArgumentError(f"bad {what} {text!r}") from None
+
+
 def _parse_vertices(text: str) -> frozenset[int]:
     # user-facing labels are 1-based
-    try:
-        vals = [int(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise InvalidArgumentError(f"bad vertex list {text!r}") from exc
+    vals = [_parse_int(x, "vertex label") for x in text.split(",") if x.strip()]
     if any(v < 1 for v in vals):
         raise InvalidArgumentError("vertex labels are 1-based")
     return frozenset(v - 1 for v in vals)
@@ -69,9 +73,9 @@ def _parse_vertices(text: str) -> frozenset[int]:
 
 def _parse_base(text: str) -> Tournament:
     if text.startswith("ln:"):
-        return gen_ln(int(text[3:]))
+        return gen_ln(_parse_int(text[3:], "base order"))
     if text.startswith("ln-:"):
-        return gen_ln_minus(int(text[4:]))
+        return gen_ln_minus(_parse_int(text[4:], "base order"))
     return _read_tournament(text)
 
 
@@ -129,7 +133,7 @@ def _cmd_switch(args) -> int:
 def _cmd_blowup(args) -> int:
     base = _parse_base(args.base)
     if args.sizes:
-        sizes = [int(x) for x in args.sizes.split(",")]
+        sizes = [_parse_int(x, "part size") for x in args.sizes.split(",")]
         t = transitive_blowup(base, sizes)
     elif args.parts:
         parts = [_read_tournament(p) for p in args.parts.split(",")]
@@ -380,7 +384,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # unreadable input files: missing, a directory, not text
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

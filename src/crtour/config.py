@@ -7,6 +7,8 @@ accept explicit ``cap=`` overrides per call.
 
 import os
 
+from .errors import InvalidArgumentError
+
 DEFAULT_ENUM_CAP = 8
 DEFAULT_SCAN_CAP = 16
 
@@ -16,9 +18,14 @@ PACKING_LIMIT = 11
 
 def enum_cap() -> int:
     raw = os.environ.get("CRTOUR_MAX_N", "")
-    if raw.strip():
+    if not raw.strip():
+        return DEFAULT_ENUM_CAP
+    try:
         return int(raw)
-    return DEFAULT_ENUM_CAP
+    except ValueError:
+        raise InvalidArgumentError(
+            f"CRTOUR_MAX_N must be an integer (got {raw!r})"
+        ) from None
 
 
 def scan_cap() -> int:

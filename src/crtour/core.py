@@ -23,7 +23,11 @@ class Tournament:
     __slots__ = ("_skew",)
 
     def __init__(self, skew) -> None:
-        arr = np.asarray(skew, dtype=np.int8)
+        arr = np.asarray(skew)
+        # range-check before the int8 cast, which would wrap 257 to 1
+        if arr.dtype != np.int8 and not np.isin(arr, (-1, 0, 1)).all():
+            raise InvalidArgumentError("entries must be -1, 0 or 1")
+        arr = arr.astype(np.int8)  # a private copy
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidArgumentError("skew matrix must be square")
         n = arr.shape[0]
@@ -39,7 +43,6 @@ class Tournament:
                 raise InvalidArgumentError(
                     "every pair needs exactly one arc (off-diagonal +-1)"
                 )
-        arr = arr.copy()
         arr.setflags(write=False)
         self._skew = arr
 
@@ -401,4 +404,4 @@ def parse_tournament(text: str) -> Tournament:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise InvalidArgumentError("skew-matrix input must be square")
-    return Tournament(np.array(rows, np.int8))
+    return Tournament(np.array(rows))

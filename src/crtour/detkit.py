@@ -4,8 +4,8 @@ D_k classes.
 det(T) means det of the skew-adjacency matrix S_T = A_T - A_T^t.  It is
 0 for odd order and the square of an odd integer for even order, and a
 tournament lies in D_k when no subtournament determinant exceeds k^2.
-All arithmetic is exact: int64 fraction-free elimination inside the
-Hadamard envelope, arbitrary-precision python integers beyond it.
+All arithmetic is exact: single determinants use python integers, and
+the int64 minor scans refuse orders where they could overflow.
 """
 
 from __future__ import annotations
@@ -24,64 +24,28 @@ from .errors import (
     TheoremViolationError,
 )
 
-# conservative margin under 2**63 for float-evaluated Hadamard bounds
-_I64_SAFE = 2 ** 60
-
 
 def skew_adjacency(t: Tournament) -> np.ndarray:
     """S_T as a fresh writable int8 array."""
     return t.skew.copy()
 
 
-def _hadamard_bound(arr: np.ndarray) -> float:
-    norms = np.sqrt((arr.astype(float) ** 2).sum(axis=1))
-    return float(np.prod(np.maximum(norms, 1.0)))
-
-
-def _bareiss_object(rows: list[list[int]]) -> int:
-    # python-int Bareiss; exact for any magnitude
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [row[:] for row in rows]
-    sign, prev = 1, 1
-    for j in range(n - 1):
-        if m[j][j] == 0:
-            for r in range(j + 1, n):
-                if m[r][j] != 0:
-                    m[j], m[r] = m[r], m[j]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = m[j][j]
-        for r in range(j + 1, n):
-            for c in range(j + 1, n):
-                m[r][c] = (m[r][c] * piv - m[r][j] * m[j][c]) // prev
-        prev = piv
-    return sign * m[n - 1][n - 1]
-
-
 def det_exact(matrix) -> int:
-    """Exact determinant of a square integer matrix.
-
-    Uses the int64 kernel whenever the Hadamard bound (which also caps
-    every fraction-free intermediate) fits; otherwise falls back to
-    python integers.  Never wraps around silently.
-    """
+    """Exact determinant of a square integer-valued matrix (integer,
+    float, bool or object dtype), by python-int Bareiss elimination."""
     arr = np.asarray(matrix)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidArgumentError("determinant needs a square matrix")
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        flo = np.asarray(matrix, dtype=float)
-        if not np.all(flo == np.round(flo)):
+    if not np.issubdtype(arr.dtype, np.integer):
+        try:
+            ints = np.frompyfunc(int, 1, 1)(arr)
+            integral = bool(np.all(ints == arr))
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
             raise InvalidArgumentError("determinant needs integer entries")
-        arr = flo.astype(np.int64)
-    if arr.shape[0] == 0:
-        return 1
-    if _hadamard_bound(arr) < _I64_SAFE:
-        return kernels.bareiss_det(arr)
-    return _bareiss_object([[int(x) for x in row] for row in arr])
+        arr = ints
+    return kernels.bareiss_det(arr)
 
 
 def tournament_det(t: Tournament) -> int:

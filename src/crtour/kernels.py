@@ -1,79 +1,79 @@
 """Hot numeric kernels: exact integer determinants and permutation scans.
 
-Everything here is fraction-free integer arithmetic on int64 arrays.
-Two interchangeable implementations exist for each kernel: a numba
-``@njit`` fast path and a pure-numpy fallback.  The backend is picked
-once at import time from the CRTOUR_BACKEND environment variable
-("numba", "numpy", or "auto"; default auto = numba when importable).
-
-Kernel semantics are identical across backends; the test suite and
-``benchmarks/bench_kernels.py`` compare them directly.
-
-int64 is safe for every caller in this package: skew matrices have
-entries in {-1,0,1} and order <= 16, so all Bareiss intermediates are
-bounded by the Hadamard envelope 16**8 < 2**32.  Callers with larger
-general-integer matrices must guard and fall back to object arithmetic
-(see detkit.det_exact).
+Each kernel has exactly one implementation.  Single determinants run
+fraction-free (Bareiss) elimination on python integers, so they are
+exact at any magnitude.  The even-subset minor scans batch the same
+elimination over int64 stacks of skew submatrices.  For an order-k
+submatrix with entries in {-1, 0, 1}, each numerator
+m[r,c]*piv - m[r,j]*m[j,c] of that elimination is a difference of two
+products of minors of order <= k-1, each minor Hadamard-bounded by
+(k-1)^((k-1)/2); so it is at most 2(k-1)^(k-1).  That fits int64 up
+to k = 16 (2 * 15^15 < 15^16 < 2^63), and larger scans raise
+ResourceLimitError instead of wrapping around.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 
 import numpy as np
 
-_ENV = os.environ.get("CRTOUR_BACKEND", "auto").strip().lower() or "auto"
-if _ENV not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"CRTOUR_BACKEND must be auto, numba or numpy (got {_ENV!r})"
-    )
+from .errors import InvalidArgumentError, ResourceLimitError
 
-if _ENV in ("auto", "numba"):
-    try:
-        from numba import njit
+# the only backend; benchmark records carry it so runs stay comparable
+BACKEND = "numpy"
 
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - environment dependent
-        if _ENV == "numba":
-            raise
-        _HAVE_NUMBA = False
-else:
-    _HAVE_NUMBA = False
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
+# largest scan order whose squared Hadamard bound 15^16 fits in int64
+SCAN_LIMIT = 16
 
 
-# ---------------------------------------------------------------------------
-# pure numpy implementations
+def _as_i64(a) -> np.ndarray:
+    arr = np.ascontiguousarray(a, dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError("kernel input must be a square 2-d array")
+    return arr
 
 
-def _bareiss_det_np(a: np.ndarray) -> int:
-    """Exact determinant of an int64 matrix via fraction-free elimination."""
-    n = a.shape[0]
+def _as_scan_input(s) -> np.ndarray:
+    arr = _as_i64(s)
+    if arr.shape[0] > SCAN_LIMIT:
+        raise ResourceLimitError(
+            f"int64 minor scan of order {arr.shape[0]} exceeds {SCAN_LIMIT}"
+        )
+    if arr.size and np.abs(arr).max() > 1:
+        raise InvalidArgumentError("minor scans need entries in {-1, 0, 1}")
+    return arr
+
+
+def bareiss_det(a) -> int:
+    """Exact determinant of a square integer matrix of any integer dtype
+    (object arrays of python ints included)."""
+    arr = np.asarray(a)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError("kernel input must be a square 2-d array")
+    m = arr.tolist()
+    n = len(m)
     if n == 0:
         return 1
-    m = a.copy()
-    sign = 1
-    prev = np.int64(1)
+    sign, prev = 1, 1
     for j in range(n - 1):
-        if m[j, j] == 0:
-            nz = np.nonzero(m[j + 1 :, j])[0]
-            if nz.size == 0:
+        if m[j][j] == 0:
+            for r in range(j + 1, n):
+                if m[r][j] != 0:
+                    m[j], m[r] = m[r], m[j]
+                    sign = -sign
+                    break
+            else:
                 return 0
-            r = j + 1 + int(nz[0])
-            m[[j, r]] = m[[r, j]]
-            sign = -sign
-        piv = m[j, j]
-        m[j + 1 :, j + 1 :] = (
-            m[j + 1 :, j + 1 :] * piv
-            - np.outer(m[j + 1 :, j], m[j, j + 1 :])
-        ) // prev
+        piv = m[j][j]
+        for r in range(j + 1, n):
+            for c in range(j + 1, n):
+                m[r][c] = (m[r][c] * piv - m[r][j] * m[j][c]) // prev
         prev = piv
-    return int(sign * m[n - 1, n - 1])
+    return sign * m[n - 1][n - 1]
 
 
-def _batch_bareiss_np(mats: np.ndarray) -> np.ndarray:
+def _batch_bareiss(mats: np.ndarray) -> np.ndarray:
     """Determinants of a (k, c, c) int64 stack, all at once.
 
     Items that hit a fully-zero pivot column are finished (det 0) and
@@ -129,16 +129,22 @@ def _mask_lex_less(a: int, b: int) -> bool:
     return (a & above) == 0
 
 
-def _max_even_minor_np(s: np.ndarray) -> tuple[int, int]:
-    n = s.shape[0]
+def max_even_minor(s) -> tuple[int, int]:
+    """Scan every even-cardinality vertex subset (size >= 2) of a skew
+    matrix and return ``(max determinant, witness bitmask)``.
+
+    Ties go to the subset that is smallest as a sorted index tuple.
+    Returns ``(0, 0)`` when the matrix has fewer than two rows.
+    """
+    arr = _as_scan_input(s)
+    n = arr.shape[0]
     best = 0
     best_mask = 0
     for c in range(2, n + 1, 2):
         combos = np.array(
             list(itertools.combinations(range(n), c)), np.int64
         )
-        subs = s[combos[:, :, None], combos[:, None, :]]
-        dets = _batch_bareiss_np(subs)
+        dets = _batch_bareiss(arr[combos[:, :, None], combos[:, None, :]])
         mx = int(dets.max())
         if mx < best or mx == 0:
             continue
@@ -149,8 +155,14 @@ def _max_even_minor_np(s: np.ndarray) -> tuple[int, int]:
     return best, best_mask
 
 
-def _first_minor_above_np(s: np.ndarray, bound: int, forced: int) -> int:
-    n = s.shape[0]
+def first_minor_above(s, bound: int, forced: int = -1) -> int:
+    """First even-cardinality subset whose determinant exceeds ``bound``.
+
+    Returns the subset as a bitmask, or 0 when none exists.  ``forced``
+    restricts the scan to subsets containing that vertex.
+    """
+    arr = _as_scan_input(s)
+    n = arr.shape[0]
     for c in range(2, n + 1, 2):
         combos = np.array(
             list(itertools.combinations(range(n), c)), np.int64
@@ -159,23 +171,19 @@ def _first_minor_above_np(s: np.ndarray, bound: int, forced: int) -> int:
             combos = combos[(combos == forced).any(axis=1)]
             if combos.shape[0] == 0:
                 continue
-        dets = _batch_bareiss_np(s[combos[:, :, None], combos[:, None, :]])
+        dets = _batch_bareiss(arr[combos[:, :, None], combos[:, None, :]])
         hits = np.nonzero(dets > bound)[0]
         if hits.size:
             return _mask_of(combos[int(hits[0])])
     return 0
 
 
-def _pair_list(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
-
-
 _PERM_CHUNK = 40320
 
 
-def _perm_codes_np(s: np.ndarray, perms: np.ndarray) -> np.ndarray:
+def _perm_codes(s: np.ndarray, perms: np.ndarray) -> np.ndarray:
     n = s.shape[0]
-    pairs = _pair_list(n)
+    pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
     m = len(pairs)
     codes = np.zeros(perms.shape[0], np.int64)
     for p, (i, j) in enumerate(pairs):
@@ -184,265 +192,10 @@ def _perm_codes_np(s: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _perm_min_encoding_np(s: np.ndarray) -> int:
-    n = s.shape[0]
-    best = None
+def _perm_chunks(n: int):
     it = itertools.permutations(range(n))
-    while True:
-        chunk = list(itertools.islice(it, _PERM_CHUNK))
-        if not chunk:
-            break
-        codes = _perm_codes_np(s, np.array(chunk, np.int64))
-        lo = int(codes.min())
-        if best is None or lo < best:
-            best = lo
-    return best if best is not None else 0
-
-
-def _perm_aut_count_np(s: np.ndarray) -> int:
-    n = s.shape[0]
-    ident = _perm_codes_np(s, np.arange(n, dtype=np.int64).reshape(1, n))[0]
-    count = 0
-    it = itertools.permutations(range(n))
-    while True:
-        chunk = list(itertools.islice(it, _PERM_CHUNK))
-        if not chunk:
-            break
-        codes = _perm_codes_np(s, np.array(chunk, np.int64))
-        count += int((codes == ident).sum())
-    return count
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _bareiss_det_nb(a):  # pragma: no cover - exercised via wrappers
-        n = a.shape[0]
-        if n == 0:
-            return np.int64(1)
-        m = a.copy()
-        sign = np.int64(1)
-        prev = np.int64(1)
-        for j in range(n - 1):
-            if m[j, j] == 0:
-                piv_row = -1
-                for r in range(j + 1, n):
-                    if m[r, j] != 0:
-                        piv_row = r
-                        break
-                if piv_row == -1:
-                    return np.int64(0)
-                for c in range(n):
-                    t = m[j, c]
-                    m[j, c] = m[piv_row, c]
-                    m[piv_row, c] = t
-                sign = -sign
-            piv = m[j, j]
-            for r in range(j + 1, n):
-                for c in range(j + 1, n):
-                    m[r, c] = (m[r, c] * piv - m[r, j] * m[j, c]) // prev
-            prev = piv
-        return sign * m[n - 1, n - 1]
-
-    @njit(cache=True)
-    def _max_even_minor_nb(s):  # pragma: no cover
-        n = s.shape[0]
-        best = np.int64(0)
-        best_mask = np.int64(0)
-        idx = np.empty(n, np.int64)
-        for mask in range(3, 1 << n):
-            mm = mask
-            c = 0
-            while mm:
-                mm &= mm - 1
-                c += 1
-            if c < 2 or (c & 1) == 1:
-                continue
-            k = 0
-            for v in range(n):
-                if (mask >> v) & 1:
-                    idx[k] = v
-                    k += 1
-            sub = np.empty((c, c), np.int64)
-            for r in range(c):
-                for q in range(c):
-                    sub[r, q] = s[idx[r], idx[q]]
-            d = _bareiss_det_nb(sub)
-            if d > best:
-                best = d
-                best_mask = mask
-            elif d == best and d > 0:
-                x = mask ^ best_mask
-                if x != 0:
-                    low = x & (-x)
-                    above = ~((low << 1) - 1)
-                    if (mask & low) != 0:
-                        if (best_mask & above) != 0:
-                            best_mask = mask
-                    elif (mask & above) == 0:
-                        best_mask = mask
-        return best, best_mask
-
-    @njit(cache=True)
-    def _first_minor_above_nb(s, bound, forced):  # pragma: no cover
-        n = s.shape[0]
-        idx = np.empty(n, np.int64)
-        for mask in range(3, 1 << n):
-            if forced >= 0 and ((mask >> forced) & 1) == 0:
-                continue
-            mm = mask
-            c = 0
-            while mm:
-                mm &= mm - 1
-                c += 1
-            if c < 2 or (c & 1) == 1:
-                continue
-            k = 0
-            for v in range(n):
-                if (mask >> v) & 1:
-                    idx[k] = v
-                    k += 1
-            sub = np.empty((c, c), np.int64)
-            for r in range(c):
-                for q in range(c):
-                    sub[r, q] = s[idx[r], idx[q]]
-            if _bareiss_det_nb(sub) > bound:
-                return np.int64(mask)
-        return np.int64(0)
-
-    @njit(cache=True)
-    def _perm_min_encoding_nb(s):  # pragma: no cover
-        n = s.shape[0]
-        m = n * (n - 1) // 2
-        perm = np.arange(n)
-        best = np.int64(1) << m
-        while True:
-            code = np.int64(0)
-            for i in range(n - 1):
-                for j in range(i + 1, n):
-                    code <<= 1
-                    if s[perm[i], perm[j]] > 0:
-                        code |= 1
-            if code < best:
-                best = code
-            # lexicographic next permutation
-            k = n - 2
-            while k >= 0 and perm[k] >= perm[k + 1]:
-                k -= 1
-            if k < 0:
-                break
-            l = n - 1
-            while perm[l] <= perm[k]:
-                l -= 1
-            t = perm[k]
-            perm[k] = perm[l]
-            perm[l] = t
-            lo = k + 1
-            hi = n - 1
-            while lo < hi:
-                t = perm[lo]
-                perm[lo] = perm[hi]
-                perm[hi] = t
-                lo += 1
-                hi -= 1
-        return best
-
-    @njit(cache=True)
-    def _perm_aut_count_nb(s):  # pragma: no cover
-        n = s.shape[0]
-        perm = np.arange(n)
-        count = np.int64(0)
-        while True:
-            same = True
-            for i in range(n - 1):
-                if not same:
-                    break
-                for j in range(i + 1, n):
-                    a = 1 if s[perm[i], perm[j]] > 0 else 0
-                    b = 1 if s[i, j] > 0 else 0
-                    if a != b:
-                        same = False
-                        break
-            if same:
-                count += 1
-            k = n - 2
-            while k >= 0 and perm[k] >= perm[k + 1]:
-                k -= 1
-            if k < 0:
-                break
-            l = n - 1
-            while perm[l] <= perm[k]:
-                l -= 1
-            t = perm[k]
-            perm[k] = perm[l]
-            perm[l] = t
-            lo = k + 1
-            hi = n - 1
-            while lo < hi:
-                t = perm[lo]
-                perm[lo] = perm[hi]
-                perm[hi] = t
-                lo += 1
-                hi -= 1
-        return count
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-
-def _as_i64(a) -> np.ndarray:
-    arr = np.ascontiguousarray(a, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("kernel input must be a square 2-d array")
-    return arr
-
-
-def bareiss_det(a) -> int:
-    """Exact determinant of a square integer matrix (int64 range)."""
-    arr = _as_i64(a)
-    if BACKEND == "numba":
-        return int(_bareiss_det_nb(arr))
-    return _bareiss_det_np(arr)
-
-
-def max_even_minor(s) -> tuple[int, int]:
-    """Scan every even-cardinality vertex subset (size >= 2) of a skew
-    matrix and return ``(max determinant, witness bitmask)``.
-
-    Ties go to the subset that is smallest as a sorted index tuple.
-    Returns ``(0, 0)`` when the matrix has fewer than two rows.
-    """
-    arr = _as_i64(s)
-    n = arr.shape[0]
-    if n < 2:
-        return 0, 0
-    if n > 62:
-        raise ValueError("subset masks need n <= 62")
-    if BACKEND == "numba":
-        best, mask = _max_even_minor_nb(arr)
-        return int(best), int(mask)
-    return _max_even_minor_np(arr)
-
-
-def first_minor_above(s, bound: int, forced: int = -1) -> int:
-    """First even-cardinality subset whose determinant exceeds ``bound``.
-
-    Returns the subset as a bitmask, or 0 when none exists.  ``forced``
-    restricts the scan to subsets containing that vertex.
-    """
-    arr = _as_i64(s)
-    n = arr.shape[0]
-    if n < 2:
-        return 0
-    if n > 62:
-        raise ValueError("subset masks need n <= 62")
-    if BACKEND == "numba":
-        return int(_first_minor_above_nb(arr, np.int64(bound), np.int64(forced)))
-    return _first_minor_above_np(arr, int(bound), int(forced))
+    while chunk := list(itertools.islice(it, _PERM_CHUNK)):
+        yield np.array(chunk, np.int64)
 
 
 def perm_min_encoding(s) -> int:
@@ -453,9 +206,7 @@ def perm_min_encoding(s) -> int:
         raise ValueError("bit packing needs n(n-1)/2 <= 62")
     if n <= 1:
         return 0
-    if BACKEND == "numba":
-        return int(_perm_min_encoding_nb(arr))
-    return _perm_min_encoding_np(arr)
+    return min(int(_perm_codes(arr, p).min()) for p in _perm_chunks(n))
 
 
 def perm_aut_count(s) -> int:
@@ -464,29 +215,5 @@ def perm_aut_count(s) -> int:
     n = arr.shape[0]
     if n <= 1:
         return 1
-    if BACKEND == "numba":
-        return int(_perm_aut_count_nb(arr))
-    return _perm_aut_count_np(arr)
-
-
-def implementations() -> dict:
-    """Both backend implementations, for cross-testing and benchmarks."""
-    numpy_impls = {
-        "bareiss_det": _bareiss_det_np,
-        "max_even_minor": _max_even_minor_np,
-        "first_minor_above": _first_minor_above_np,
-        "perm_min_encoding": _perm_min_encoding_np,
-        "perm_aut_count": _perm_aut_count_np,
-    }
-    if not _HAVE_NUMBA:
-        return {"numpy": numpy_impls}
-    return {
-        "numpy": numpy_impls,
-        "numba": {
-            "bareiss_det": _bareiss_det_nb,
-            "max_even_minor": _max_even_minor_nb,
-            "first_minor_above": _first_minor_above_nb,
-            "perm_min_encoding": _perm_min_encoding_nb,
-            "perm_aut_count": _perm_aut_count_nb,
-        },
-    }
+    ident = _perm_codes(arr, np.arange(n, dtype=np.int64).reshape(1, n))[0]
+    return sum(int((_perm_codes(arr, p) == ident).sum()) for p in _perm_chunks(n))

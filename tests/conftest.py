@@ -23,16 +23,3 @@ def classes():
         n: tuple(enumerate_tournaments(n, classes=True)) for n in range(1, 7)
     }
 
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # first kernel calls trigger jit compilation; keep that out of any
-    # timed assertion
-    from crtour import gen_ln, max_subtournament_det, canonical_encoding
-    from crtour.kernels import first_minor_above, perm_aut_count
-
-    t = gen_ln(4)
-    max_subtournament_det(t)
-    first_minor_above(t.skew, 1)
-    canonical_encoding(t)
-    perm_aut_count(t.skew)

@@ -220,3 +220,26 @@ def test_bad_sigma_is_usage_error(capsys, tmp_path):
     f.write_text("3\n111\n")
     code, _, err = run_cli(capsys, "extend", str(f), "--sigma", "+bad")
     assert code == 2
+
+
+def test_malformed_numbers_are_usage_errors(capsys, monkeypatch):
+    for argv in (
+        ("blowup", "ln:x", "--sizes", "1,1,1,1"),
+        ("blowup", "ln:4", "--sizes", "2,x,1,1"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+    monkeypatch.setenv("CRTOUR_MAX_N", "abc")
+    code, _, err = run_cli(capsys, "enumerate", "4", "--count")
+    assert code == 2
+    assert err.startswith("error: ") and "CRTOUR_MAX_N" in err
+
+
+def test_unreadable_input_is_usage_error(capsys, tmp_path):
+    binary = tmp_path / "b.trn"
+    binary.write_bytes(bytes([0x97, 0xFF, 0x00, 0x80]))
+    for path in (tmp_path, binary):
+        code, _, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -406,3 +406,12 @@ def test_parse_rejects_garbage():
 def test_parse_skew_rejects_asymmetric():
     with pytest.raises(InvalidArgumentError):
         parse_tournament("0 1\n1 0")
+
+
+def test_tournament_rejects_entries_that_wrap_in_int8():
+    # 257 and -257 would cast to the 2-cycle's 1 and -1
+    for arr in (np.array([[0, 257], [-257, 0]]), [[0, 257], [-257, 0]]):
+        with pytest.raises(InvalidArgumentError):
+            Tournament(arr)
+    with pytest.raises(InvalidArgumentError):
+        parse_tournament("0 257\n-257 0\n")

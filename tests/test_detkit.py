@@ -158,3 +158,38 @@ def test_minor_scan_switching_invariant():
                 assert tournament_det(induced(t, sub)) == tournament_det(
                     induced(t2, sub)
                 )
+
+
+def doubled_paley(q: int) -> Tournament:
+    """Paley tournament on F_q (q a prime, q = 3 mod 4) plus a vertex
+    beating all others.  Its skew matrix S satisfies S S^t = q I, so
+    det = q^((q+1)/2): a skew-Hadamard extremal case for elimination."""
+    squares = {x * x % q for x in range(1, q)}
+    arr = np.zeros((q + 1, q + 1), np.int8)
+    for i in range(q):
+        for j in range(q):
+            if i != j:
+                arr[i, j] = 1 if (j - i) % q in squares else -1
+        arr[q, i], arr[i, q] = 1, -1
+    return Tournament(arr)
+
+
+@pytest.mark.parametrize("q", [7, 11, 19, 23])
+def test_doubled_paley_determinants(q):
+    t = doubled_paley(q)
+    s = t.skew.astype(np.int64)
+    assert np.array_equal(s @ s.T, q * np.eye(q + 1, dtype=np.int64))
+    expected = q ** ((q + 1) // 2)
+    assert det_exact(s) == expected
+    assert tournament_det(t) == expected
+    if q == 7:
+        # Leibniz expansion is feasible at order 8 (8! terms), not at 12
+        assert oracles.det_leibniz(t.skew) == expected
+
+
+def test_minor_scan_refuses_int64_overflow_range():
+    t = oracles.random_tournament(random.Random(18), 18)
+    with pytest.raises(ResourceLimitError):
+        max_subtournament_det(t, cap=18)
+    with pytest.raises(ResourceLimitError):
+        in_dk(t, 17, cap=18)

@@ -1,11 +1,11 @@
-"""Backend cross-checks and determinant-kernel validation."""
+"""Kernel validation against the independent oracles."""
 
 import random
 
 import numpy as np
 import pytest
 
-from crtour import kernels
+from crtour import InvalidArgumentError, ResourceLimitError, Tournament, kernels
 from crtour.detkit import det_exact
 
 from oracles import det_leibniz, random_tournament
@@ -93,24 +93,39 @@ def test_first_minor_above_forced_vertex():
                         assert det_leibniz(t.skew[np.ix_(sub, sub)]) <= 1
 
 
-def test_backends_agree():
-    impls = kernels.implementations()
-    if "numba" not in impls:
-        pytest.skip("numba backend unavailable")
-    nb, py = impls["numba"], impls["numpy"]
+def test_bareiss_matches_leibniz_on_skew_matrices():
     rng = random.Random(4)
-    for _ in range(40):
-        n = rng.randint(2, 7)
-        s = _random_skew(rng, n)
-        assert int(nb["bareiss_det"](s)) == py["bareiss_det"](s)
-        b1, m1 = nb["max_even_minor"](s)
-        b2, m2 = py["max_even_minor"](s)
-        assert (int(b1), int(m1)) == (b2, m2)
-        assert int(nb["first_minor_above"](s, np.int64(1), np.int64(-1))) == py[
-            "first_minor_above"
-        ](s, 1, -1)
-        assert int(nb["perm_min_encoding"](s)) == py["perm_min_encoding"](s)
-        assert int(nb["perm_aut_count"](s)) == py["perm_aut_count"](s)
+    for n in range(2, 9):
+        for _ in range(40 if n < 8 else 3):
+            s = _random_skew(rng, n)
+            assert kernels.bareiss_det(s) == det_leibniz(s)
+
+
+def test_bareiss_exact_beyond_int64():
+    big = 3 * 2**70
+    a = np.array(
+        [[big, 5, -1], [7, -big, 2], [1, 4, big + 1]], dtype=object
+    )
+    d = kernels.bareiss_det(a)
+    assert d == det_leibniz(a)
+    assert abs(d) > 2**200
+    assert det_exact(a) == d
+
+
+def test_minor_scans_refuse_orders_past_int64_bound():
+    s = Tournament.from_bits(kernels.SCAN_LIMIT + 1, 0).skew
+    with pytest.raises(ResourceLimitError):
+        kernels.max_even_minor(s)
+    with pytest.raises(ResourceLimitError):
+        kernels.first_minor_above(s, 1)
+
+
+def test_minor_scans_refuse_entries_outside_skew_range():
+    a = np.array([[0, 2], [-2, 0]], np.int64)
+    with pytest.raises(InvalidArgumentError):
+        kernels.max_even_minor(a)
+    with pytest.raises(InvalidArgumentError):
+        kernels.first_minor_above(a, 1)
 
 
 def test_det_exact_object_fallback():
