@@ -4,7 +4,8 @@ Verbs: analyze, gen, switch, blowup, extend, check, decompose, verify,
 enumerate, zmat.  "-" means stdin wherever a tournament file is
 expected, so verbs compose in pipelines.  Human text by default,
 machine JSON with --json.  Exit codes: 0 success, 1 verification
-failure, 2 usage error, 3 resource limit.
+failure, 2 usage error, 3 resource limit, 4 internal error (two routes
+that must agree by a proven identity disagreed).
 """
 
 from __future__ import annotations
@@ -34,7 +35,11 @@ from .cr import (
 )
 from .blowup import blowup, decompose_transitive_blowup, transitive_blowup
 from .detkit import max_subtournament_det, tournament_det
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import (
+    InvalidArgumentError,
+    ResourceLimitError,
+    TheoremViolationError,
+)
 from .lfamily import gen_ln, gen_ln_minus
 from .verify import available_suites, run_suite
 from .zmatrix import diagonal_vector, delta_total, row_sums, z_matrix
@@ -388,6 +393,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # unreadable input files: missing, a directory, not text
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except TheoremViolationError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

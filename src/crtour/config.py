@@ -10,6 +10,9 @@ import os
 from .errors import InvalidArgumentError
 
 DEFAULT_ENUM_CAP = 8
+# subset and extension scans cost 2^n table entries and, for the CR
+# check, 2^n relations times 2^(n-1) odd subsets; order 16 stays
+# interactive (kernels.SCAN_LIMIT is the same bound)
 DEFAULT_SCAN_CAP = 16
 
 # int64 bit-packing of the upper triangle needs n(n-1)/2 <= 62

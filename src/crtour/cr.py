@@ -20,7 +20,7 @@ import numpy as np
 
 from . import config, kernels
 from .core import Tournament, _append_vertex
-from .detkit import max_subtournament_det
+from .detkit import _k_of
 from .errors import (
     InvalidArgumentError,
     ResourceLimitError,
@@ -101,29 +101,63 @@ class CrWitness:
     kind: str
 
 
+def _witnesses(t: Tournament, sig: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Witness vertex for every relation row of ``sig`` (-1 when u is
+    non-CR) and its sign (+1 covertex, -1 revertex).
+
+    Entry v of sig @ S^t is sum_x sigma_x s[v, x]; it is +(n-1) exactly
+    when u agrees with v on every other vertex (covertices) and -(n-1)
+    exactly when it disagrees everywhere (revertices).  The lowest such
+    v is reported.
+    """
+    agree = sig @ t.skew.T.astype(np.int64)
+    hit = np.abs(agree) == t.n - 1
+    vertex = hit.argmax(axis=1)
+    sign = agree[np.arange(vertex.size), vertex]
+    return np.where(hit.any(axis=1), vertex, -1), sign
+
+
+def _kind(sign: int) -> str:
+    return COVERTICES if sign > 0 else REVERTICES
+
+
 def cr_vertex_witness(
     t: Tournament, sigma: Sequence[int]
 ) -> Optional[CrWitness]:
     """Vertex of t that is CR-associated with the attached u in
     T(u, sigma), or None when u is a non-CR vertex.
 
-    Scans in index order, so the lowest-index witness is reported; on a
-    basic tournament the witness is unique anyway.
+    The lowest-index witness is reported; on a basic tournament the
+    witness is unique anyway.
     """
     sig = _check_sigma(t, sigma)
-    n = t.n
-    if n == 1:
+    if t.n == 1:
         return CrWitness(0, BOTH)
-    s = t.skew
-    sig_arr = np.array(sig, np.int64)
-    for v in range(n):
-        others = [x for x in range(n) if x != v]
-        prods = sig_arr[others] * s[v, others]
-        if np.all(prods == 1):
-            return CrWitness(v, COVERTICES)
-        if np.all(prods == -1):
-            return CrWitness(v, REVERTICES)
-    return None
+    vertex, sign = _witnesses(t, np.array([sig], np.int64))
+    if vertex[0] < 0:
+        return None
+    return CrWitness(int(vertex[0]), _kind(sign[0]))
+
+
+# relations per block of the relation scans; a block's product holds
+# 2^(n-1) x 64 int64 entries (8 MB at order 15)
+_SIGMA_BLOCK = 64
+
+
+def _sigma_blocks(n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The all_sigmas order as +-1 int64 matrices of _SIGMA_BLOCK rows,
+    each with the index of its first relation."""
+    digits = np.arange(n - 1, -1, -1)
+    for start in range(0, 1 << n, _SIGMA_BLOCK):
+        idx = np.arange(start, min(1 << n, start + _SIGMA_BLOCK))[:, None]
+        yield start, 2 * ((idx >> digits) & 1) - 1
+
+
+_SIGN_CHARS = str.maketrans("10", "+-")
+
+
+def _sigma_text(index: int, n: int) -> str:
+    return format(index, f"0{n}b").translate(_SIGN_CHARS)
 
 
 def count_cr_sigmas(t: Tournament, cap: Optional[int] = None) -> int:
@@ -134,7 +168,8 @@ def count_cr_sigmas(t: Tournament, cap: Optional[int] = None) -> int:
             f"sigma scan of order {t.n} exceeds cap {limit}"
         )
     return sum(
-        1 for sig in all_sigmas(t.n) if cr_vertex_witness(t, sig) is not None
+        int((_witnesses(t, sig)[0] >= 0).sum())
+        for _, sig in _sigma_blocks(t.n)
     )
 
 
@@ -192,41 +227,43 @@ class CrReport:
 def is_cr_tournament(t: Tournament, cap: Optional[int] = None) -> CrReport:
     """Decide whether t is a CR tournament, with a full report.
 
-    k is fixed by the minor scan (t lies in D_k \\ D_{k-2}).  Trivial
-    CR tournaments short-circuit.  Otherwise every dominating relation
-    is scanned: non-CR extensions must leave D_k, and CR extensions
-    must stay in D_k \\ D_{k-2} (cross-check).  Because t itself is in
-    D_k, any subset of the extension violating the bound contains u, so
-    both checks reduce to a scan over subsets through u.
+    k is fixed by the Pfaffian table of t (t lies in D_k \\ D_{k-2}).
+    Trivial CR tournaments short-circuit.  Otherwise every dominating
+    relation is scanned: non-CR extensions must leave D_k, and CR
+    extensions must stay in D_k \\ D_{k-2} (cross-check).  Because t
+    itself is in D_k, any subset of the extension violating the bound
+    is X + u for an odd subset X of t, and Pf(X + u) = -C[X] @ sigma
+    with C from ``kernels.attach_coefficients``; so sigma violates
+    exactly when |C sigma| > k somewhere, and all relations are
+    decided by one int64 product, taken in blocks of relations.
     """
     limit = config.scan_cap() if cap is None else cap
     if t.n + 1 > limit:
         raise ResourceLimitError(
             f"extension scans of order {t.n + 1} exceed cap {limit}"
         )
-    k = max_subtournament_det(t, cap=limit).k
+    pf = kernels.pfaffian_table(t.skew)
+    k = _k_of(int((pf * pf).max()))
     if is_trivial_cr(t):
         return CrReport(True, k, True)
-    bound = k * k
-    u = t.n
+    coef = kernels.attach_coefficients(pf)
+    coef = coef[coef.any(axis=1)]  # rows of even X are zero
     failures = []
     witness_map = {}
-    for sig in all_sigmas(t.n):
-        wit = cr_vertex_witness(t, sig)
-        ext = extend(t, sig)
-        violates = (
-            kernels.first_minor_above(ext.skew, bound, forced=u) != 0
-        )
-        if wit is None:
-            if not violates:
-                failures.append(sigma_to_string(sig))
-        else:
-            witness_map[sigma_to_string(sig)] = {
-                "vertex": wit.vertex + 1,
-                "kind": wit.kind,
-            }
-            if violates:
-                failures.append(sigma_to_string(sig))
+    for start, sig in _sigma_blocks(t.n):
+        pfs = coef @ sig.T
+        violates = np.abs(pfs, out=pfs).max(axis=0) > k
+        vertex, sign = _witnesses(t, sig)
+        cr = vertex >= 0
+        for i in np.flatnonzero(cr | ~violates).tolist():
+            text = _sigma_text(start + i, t.n)
+            if cr[i]:
+                witness_map[text] = {
+                    "vertex": int(vertex[i]) + 1,
+                    "kind": _kind(sign[i]),
+                }
+            if cr[i] == violates[i]:
+                failures.append(text)
     return CrReport(not failures, k, False, tuple(failures), witness_map)
 
 

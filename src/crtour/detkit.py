@@ -4,8 +4,12 @@ D_k classes.
 det(T) means det of the skew-adjacency matrix S_T = A_T - A_T^t.  It is
 0 for odd order and the square of an odd integer for even order, and a
 tournament lies in D_k when no subtournament determinant exceeds k^2.
-All arithmetic is exact: single determinants use python integers, and
-the int64 minor scans refuse orders where they could overflow.
+All arithmetic is exact.  Single determinants use python-int Bareiss
+elimination.  The scans over all subtournaments read det = Pf^2
+(Cayley) from one Pfaffian table of S_T (``kernels.pfaffian_table``);
+|Pf| <= (n-1)^(n/4), so its int64 entries cannot overflow, and the
+scans stop at order 16 only because the table and the relation scans
+built on it grow as 2^n.
 """
 
 from __future__ import annotations

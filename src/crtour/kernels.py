@@ -1,15 +1,31 @@
-"""Hot numeric kernels: exact integer determinants and permutation scans.
+"""Hot numeric kernels: exact integer determinants, the Pfaffian subset
+table and permutation scans.
 
 Each kernel has exactly one implementation.  Single determinants run
 fraction-free (Bareiss) elimination on python integers, so they are
-exact at any magnitude.  The even-subset minor scans batch the same
-elimination over int64 stacks of skew submatrices.  For an order-k
-submatrix with entries in {-1, 0, 1}, each numerator
-m[r,c]*piv - m[r,j]*m[j,c] of that elimination is a difference of two
-products of minors of order <= k-1, each minor Hadamard-bounded by
-(k-1)^((k-1)/2); so it is at most 2(k-1)^(k-1).  That fits int64 up
-to k = 16 (2 * 15^15 < 15^16 < 2^63), and larger scans raise
-ResourceLimitError instead of wrapping around.
+exact at any magnitude.
+
+Every principal minor of a skew matrix S is the determinant of a skew
+matrix, so by Cayley's theorem it is the square of a Pfaffian:
+det S[X] = Pf(X)^2, which is 0 for odd |X|.  Expanding Pf(X) along its
+highest vertex h gives
+
+    Pf(X) = sum_{j in X - h} (-1)^pos(j) s[j, h] Pf(X - {j, h}),
+
+pos(j) counting the members of X below j.  The subsets with highest
+vertex h form the bitmask block [2^h, 2^(h+1)), so ``pfaffian_table``
+fills the Pfaffian of every vertex subset block by block in O(2^n n).
+The same expansion shows that Pf(X + u) for an attached vertex u is
+linear in u's column, with coefficients +-Pf(X - j)
+(``attach_coefficients``); that is the general form of the bordered
+identity det = (a + x^t S^-1 y)^2.
+
+Entries in {-1, 0, 1} bound every row norm by sqrt(n-1), so
+|Pf(X)| <= (n-1)^(n/4) (Hadamard) and every table value, partial sum
+and attached-vertex product fits int64 far beyond any order whose 2^n
+table fits in memory.  The subset scans stop at order 16
+(``SCAN_LIMIT``) because of table size and of the 2^n-relation
+products built on it, not because of overflow.
 """
 
 from __future__ import annotations
@@ -23,7 +39,8 @@ from .errors import InvalidArgumentError, ResourceLimitError
 # the only backend; benchmark records carry it so runs stay comparable
 BACKEND = "numpy"
 
-# largest scan order whose squared Hadamard bound 15^16 fits in int64
+# largest scan order: a 2^16-entry table, and extension scans of a
+# 15-vertex tournament take 2^15 relations times 2^14 odd subsets
 SCAN_LIMIT = 16
 
 
@@ -38,10 +55,12 @@ def _as_scan_input(s) -> np.ndarray:
     arr = _as_i64(s)
     if arr.shape[0] > SCAN_LIMIT:
         raise ResourceLimitError(
-            f"int64 minor scan of order {arr.shape[0]} exceeds {SCAN_LIMIT}"
+            f"subset scan of order {arr.shape[0]} exceeds {SCAN_LIMIT}"
         )
     if arr.size and np.abs(arr).max() > 1:
         raise InvalidArgumentError("minor scans need entries in {-1, 0, 1}")
+    if not np.array_equal(arr, -arr.T):
+        raise InvalidArgumentError("minor scans need a skew-symmetric matrix")
     return arr
 
 
@@ -73,109 +92,88 @@ def bareiss_det(a) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _batch_bareiss(mats: np.ndarray) -> np.ndarray:
-    """Determinants of a (k, c, c) int64 stack, all at once.
+def _popcounts(size: int) -> np.ndarray:
+    """Number of set bits of every mask below ``size`` (a power of 2)."""
+    pc = np.zeros(1, np.int64)
+    while pc.size < size:
+        pc = np.concatenate([pc, pc + 1])
+    return pc
 
-    Items that hit a fully-zero pivot column are finished (det 0) and
-    neutralised in place so the vectorised updates stay exact.
+
+def attach_coefficients(pf: np.ndarray) -> np.ndarray:
+    """Matrix C with Pf(X + h) = sum_j C[X, j] s[j, h] for every subset
+    X of {0..h-1}, given the table ``pf`` of those subsets (length 2^h).
+
+    C[X, j] = (-1)^pos(j) Pf(X - j) for j in X and 0 otherwise; rows of
+    even X are all zero.
     """
-    k, c, _ = mats.shape
-    if c == 0:
-        return np.ones(k, np.int64)
-    m = mats.copy()
-    sign = np.ones(k, np.int64)
-    prev = np.ones(k, np.int64)
-    dead = np.zeros(k, bool)
-    for j in range(c - 1):
-        piv = m[:, j, j]
-        for i in np.nonzero((piv == 0) & ~dead)[0]:
-            rows = np.nonzero(m[i, j + 1 :, j])[0]
-            if rows.size == 0:
-                dead[i] = True
-                m[i, j:, j:] = 0
-                np.fill_diagonal(m[i, j:, j:], prev[i])
-            else:
-                r = j + 1 + int(rows[0])
-                m[i, [j, r]] = m[i, [r, j]]
-                sign[i] = -sign[i]
-        piv = m[:, j, j].copy()
-        m[:, j + 1 :, j + 1 :] = (
-            m[:, j + 1 :, j + 1 :] * piv[:, None, None]
-            - m[:, j + 1 :, j, None] * m[:, j, None, j + 1 :]
-        ) // prev[:, None, None]
-        prev = piv
-    out = sign * m[:, c - 1, c - 1]
-    out[dead] = 0
-    return out
+    h = pf.size.bit_length() - 1
+    c = np.zeros((h, pf.size), np.int64)
+    sign = np.ones(1, np.int64)  # (-1)^popcount of each mask below 2^j
+    for j in range(h):
+        low = 1 << j
+        c[j].reshape(-1, 2, low)[:, 1, :] = (
+            sign * pf.reshape(-1, 2, low)[:, 0, :]
+        )
+        sign = np.concatenate([sign, -sign])
+    return c.T
 
 
-def _mask_of(indices) -> int:
-    m = 0
-    for v in indices:
-        m |= 1 << int(v)
-    return m
+def pfaffian_table(s) -> np.ndarray:
+    """Pf of every vertex subset of a skew matrix, indexed by bitmask:
+    Pf(empty) = 1, odd subsets 0, det S[X] = Pf(X)^2."""
+    arr = _as_scan_input(s)
+    pf = np.ones(1, np.int64)
+    for h in range(arr.shape[0]):
+        pf = np.concatenate([pf, attach_coefficients(pf) @ arr[:h, h]])
+    return pf
 
 
-def _mask_lex_less(a: int, b: int) -> bool:
-    # subsets compared as sorted index tuples; a proper initial segment
-    # is smaller than anything extending it
-    x = a ^ b
-    if x == 0:
-        return False
-    low = x & (-x)
-    above = ~((low << 1) - 1)
-    if a & low:
-        return (b & above) != 0
-    return (a & above) == 0
+def _lex_first(masks: np.ndarray) -> int:
+    """The mask that is smallest as a sorted index tuple; a proper
+    initial segment precedes everything extending it."""
+    prefix = 0
+    while True:
+        rest = masks ^ prefix
+        if (rest == 0).any():
+            return prefix
+        low = rest & -rest
+        first = low.min()
+        masks = masks[low == first]
+        prefix |= int(first)
 
 
 def max_even_minor(s) -> tuple[int, int]:
-    """Scan every even-cardinality vertex subset (size >= 2) of a skew
-    matrix and return ``(max determinant, witness bitmask)``.
+    """Maximum determinant over every even-cardinality vertex subset
+    (size >= 2) of a skew matrix, as ``(max determinant, witness bitmask)``.
 
     Ties go to the subset that is smallest as a sorted index tuple.
     Returns ``(0, 0)`` when the matrix has fewer than two rows.
     """
-    arr = _as_scan_input(s)
-    n = arr.shape[0]
-    best = 0
-    best_mask = 0
-    for c in range(2, n + 1, 2):
-        combos = np.array(
-            list(itertools.combinations(range(n), c)), np.int64
-        )
-        dets = _batch_bareiss(arr[combos[:, :, None], combos[:, None, :]])
-        mx = int(dets.max())
-        if mx < best or mx == 0:
-            continue
-        first = int(np.argmax(dets == mx))
-        mask = _mask_of(combos[first])
-        if mx > best or _mask_lex_less(mask, best_mask):
-            best, best_mask = mx, mask
-    return best, best_mask
+    dets = pfaffian_table(s) ** 2
+    dets[0] = 0
+    best = int(dets.max())
+    if best == 0:
+        return 0, 0
+    return best, _lex_first(np.flatnonzero(dets == best))
 
 
 def first_minor_above(s, bound: int, forced: int = -1) -> int:
-    """First even-cardinality subset whose determinant exceeds ``bound``.
+    """First even-cardinality subset whose determinant exceeds ``bound``:
+    smallest cardinality first, then smallest as a sorted index tuple.
 
     Returns the subset as a bitmask, or 0 when none exists.  ``forced``
     restricts the scan to subsets containing that vertex.
     """
-    arr = _as_scan_input(s)
-    n = arr.shape[0]
-    for c in range(2, n + 1, 2):
-        combos = np.array(
-            list(itertools.combinations(range(n), c)), np.int64
-        )
-        if forced >= 0:
-            combos = combos[(combos == forced).any(axis=1)]
-            if combos.shape[0] == 0:
-                continue
-        dets = _batch_bareiss(arr[combos[:, :, None], combos[:, None, :]])
-        hits = np.nonzero(dets > bound)[0]
-        if hits.size:
-            return _mask_of(combos[int(hits[0])])
-    return 0
+    pf = pfaffian_table(s)
+    size = _popcounts(pf.size)
+    hit = (pf * pf > bound) & (size > 0) & (size % 2 == 0)
+    if forced >= 0:
+        hit &= (np.arange(pf.size) >> forced) & 1 == 1
+    masks = np.flatnonzero(hit)
+    if masks.size == 0:
+        return 0
+    return _lex_first(masks[size[masks] == size[masks].min()])
 
 
 _PERM_CHUNK = 40320

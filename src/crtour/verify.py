@@ -172,6 +172,10 @@ def run_suite(name: str, max_n: Optional[int] = None, seed: int = 0) -> SuiteRep
     start = time.perf_counter()
     checked, failures, params = fn(n, int(seed))
     seconds = time.perf_counter() - start
+    if checked == 0:
+        raise InvalidArgumentError(
+            f"suite {name} checks nothing at max_n={n}"
+        )
     params = {"max_n": n, "seed": int(seed), **params}
     return SuiteReport(name, params, checked, tuple(failures), seconds)
 

@@ -71,6 +71,61 @@ def brute_max_even_minor(t: Tournament):
     return best, best_sub
 
 
+def extend_skew(t: Tournament, sigma) -> np.ndarray:
+    """Skew matrix of T(u, sigma): u is appended as vertex n with
+    theta(u, v_i) = sigma[i]."""
+    n = t.n
+    s = np.zeros((n + 1, n + 1), np.int64)
+    s[:n, :n] = t.skew
+    s[n, :n] = sigma
+    s[:n, n] = [-x for x in sigma]
+    return s
+
+
+def brute_cr_witness(t: Tournament, sigma):
+    """Lowest vertex that agrees (covertices) or disagrees (revertices)
+    with the attached u on every other vertex, as a CrReport
+    witness_map entry; None when u is non-CR."""
+    n = t.n
+    s = extend_skew(t, sigma)
+    for v in range(n):
+        agree = [s[n, x] * s[v, x] for x in range(n) if x != v]
+        if all(a == 1 for a in agree):
+            return {"vertex": v + 1, "kind": "covertices"}
+        if all(a == -1 for a in agree):
+            return {"vertex": v + 1, "kind": "revertices"}
+    return None
+
+
+def brute_cr_report(t: Tournament):
+    """(ok, k, trivial, failures, witness_map) of the CR check, straight
+    from the definitions: k from the Leibniz minor scan, every relation
+    attached and its subsets through u expanded, and every vertex
+    tested for agreeing or disagreeing with u on all other vertices."""
+    n = t.n
+    best, _ = brute_max_even_minor(t)
+    k = max(1, round(best**0.5))
+    if n <= 2 or (n == 4 and det_leibniz(t.skew) == 9):
+        return True, k, True, (), {}
+    u = n
+    failures, witness_map = [], {}
+    for sigma in itertools.product((-1, 1), repeat=n):
+        s = extend_skew(t, sigma)
+        violates = False
+        for c in range(1, n + 1, 2):
+            subs = [sub + (u,) for sub in itertools.combinations(range(n), c)]
+            idx = np.array(subs)
+            dets = det_leibniz_batch(s[idx[:, :, None], idx[:, None, :]])
+            violates = violates or any(d > k * k for d in dets)
+        witness = brute_cr_witness(t, sigma)
+        text = "".join("+" if r > 0 else "-" for r in sigma)
+        if witness is not None:
+            witness_map[text] = witness
+        if (witness is not None) == violates:
+            failures.append(text)
+    return not failures, k, False, tuple(failures), witness_map
+
+
 def anchored_switch_sets(n: int):
     for mask in range(1 << max(n - 1, 0)):
         yield frozenset(v + 1 for v in range(n - 1) if (mask >> v) & 1)

@@ -243,3 +243,31 @@ def test_unreadable_input_is_usage_error(capsys, tmp_path):
         code, _, err = run_cli(capsys, "analyze", str(path))
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_suite_that_checks_nothing_is_usage_error(capsys):
+    for argv in (
+        ("verify", "d1-diamond", "--max-n", "0"),
+        ("verify", "ln-cr-formula", "--max-n", "3"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "pass" not in out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "checks nothing" in err
+
+
+def test_theorem_violation_exits_four(capsys, monkeypatch, tmp_path):
+    from crtour import TheoremViolationError
+
+    def broken(t):
+        raise TheoremViolationError("synthetic disagreement")
+
+    monkeypatch.setattr("crtour.cli.is_basic", broken)
+    f = tmp_path / "l4.trn"
+    f.write_text(format_trn(gen_ln(4)))
+    code, out, err = run_cli(capsys, "check", str(f), "--basic")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: synthetic disagreement\n"
+    assert "Traceback" not in err

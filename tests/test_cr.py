@@ -372,3 +372,36 @@ def test_one_transitive_blowup_orientation_irrelevant():
         arr[i + 1, i] = -arr[i + 1, i]
         flipped = Tournament(arr)
         assert is_isomorphic(b, flipped) is not None
+
+
+def _full_report(rep):
+    return rep.ok, rep.k, rep.trivial, rep.failures, rep.witness_map
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_cr_report_matches_definition_level_route(classes, n):
+    # every class up to order 5; at order 6, L_6 and three classes of
+    # which two are not CR, so failing relations are compared too
+    ts = classes[n] if n <= 5 else (gen_ln(6), *classes[6][8:11])
+    failing = 0
+    for t in ts:
+        expected = oracles.brute_cr_report(t)
+        failing += len(expected[3])
+        assert _full_report(is_cr_tournament(t)) == expected
+        witnesses = [
+            oracles.brute_cr_witness(t, sigma) for sigma in all_sigmas(n)
+        ]
+        assert count_cr_sigmas(t) == sum(w is not None for w in witnesses)
+        if n >= 2:
+            for sigma, want in zip(all_sigmas(n), witnesses):
+                got = cr_vertex_witness(t, sigma)
+                if got is not None:
+                    got = {"vertex": got.vertex + 1, "kind": got.kind}
+                assert got == want
+    assert failing > 0 or n <= 5
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_large_ln_are_cr(n):
+    rep = is_cr_tournament(gen_ln(n))
+    assert rep.ok and rep.k == n - 1 and not rep.trivial

@@ -1,11 +1,18 @@
 """Kernel validation against the independent oracles."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from crtour import InvalidArgumentError, ResourceLimitError, Tournament, kernels
+from crtour import (
+    InvalidArgumentError,
+    ResourceLimitError,
+    Tournament,
+    kernels,
+    transitive_tournament,
+)
 from crtour.detkit import det_exact
 
 from oracles import det_leibniz, random_tournament
@@ -148,3 +155,77 @@ def test_det_exact_rejects_non_integer():
         det_exact(np.array([[0.5, 1.0], [1.0, 0.5]]))
     with pytest.raises(InvalidArgumentError):
         det_exact(np.zeros((2, 3)))
+
+
+def _members(mask, n):
+    return [v for v in range(n) if (mask >> v) & 1]
+
+
+def test_pfaffian_table_matches_leibniz():
+    rng = random.Random(5)
+    for n in range(2, 9):
+        for _ in range(4 if n < 8 else 2):
+            t = random_tournament(rng, n)
+            pf = kernels.pfaffian_table(t.skew)
+            assert pf.dtype == np.int64 and pf.shape == (1 << n,)
+            assert pf[0] == 1
+            for mask in range(1, 1 << n):
+                sub = _members(mask, n)
+                if len(sub) % 2:
+                    assert pf[mask] == 0
+                else:
+                    assert pf[mask] ** 2 == det_leibniz(t.skew[np.ix_(sub, sub)])
+
+
+@pytest.mark.parametrize("q", [7, 11])
+def test_pfaffian_table_on_doubled_paley(q):
+    from test_detkit import doubled_paley
+
+    s = doubled_paley(q).skew
+    n = q + 1
+    pf = kernels.pfaffian_table(s)
+    assert int(pf[-1]) ** 2 == q ** ((q + 1) // 2)
+    for mask in range(1, 1 << n):
+        sub = _members(mask, n)
+        if len(sub) % 2 == 0:
+            assert int(pf[mask]) ** 2 == kernels.bareiss_det(s[np.ix_(sub, sub)])
+
+
+def test_max_even_minor_ties_go_to_lex_smallest_witness():
+    from oracles import brute_max_even_minor
+
+    # every even subset of a transitive tournament has determinant 1
+    for n in range(2, 11):
+        t = transitive_tournament(n)
+        assert kernels.max_even_minor(t.skew) == (1, 0b11)
+        if n <= 6:
+            best, sub = brute_max_even_minor(t)
+            assert (best, tuple(_members(0b11, n))) == (1, sub)
+
+
+def test_first_minor_above_is_first_in_size_then_lex_order():
+    rng = random.Random(6)
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        t = random_tournament(rng, n)
+        bound = rng.choice((0, 1, 9))
+        forced = rng.choice((-1, rng.randrange(n)))
+        want = 0
+        for c in range(2, n + 1, 2):
+            for sub in itertools.combinations(range(n), c):
+                if forced >= 0 and forced not in sub:
+                    continue
+                if det_leibniz(t.skew[np.ix_(sub, sub)]) > bound:
+                    want = sum(1 << v for v in sub)
+                    break
+            if want:
+                break
+        assert kernels.first_minor_above(t.skew, bound, forced=forced) == want
+
+
+def test_minor_scans_refuse_non_skew_input():
+    a = np.array([[0, 1], [1, 0]], np.int64)
+    with pytest.raises(InvalidArgumentError):
+        kernels.pfaffian_table(a)
+    with pytest.raises(InvalidArgumentError):
+        kernels.max_even_minor(a)
