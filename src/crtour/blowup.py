@@ -4,10 +4,14 @@ D_1/D_3/D_5 classifiers.
 A blowup replaces each base vertex by a tournament, with all arcs
 between parts following the base orientation.  The central inverse
 problem: given T and a basic tournament H, find a switch of T that is a
-transitive blowup of H.  The constructive decomposition locates an
-induced copy of H (up to switching), classifies every outside vertex as
-a covertex or revertex of exactly one copy vertex, switches the
-revertex set away and verifies the resulting block structure.
+transitive blowup of H.  The constructive decomposition finds the first
+induced copy of H up to switching (``_first_switching_copy``), switches
+it exact, and classifies every outside vertex by one product sigma S^t
+against the copy (``cr._witnesses``): entry +-(n-1) names the copy
+vertex it is a covertex or revertex of, unique because H is basic.  It
+then switches the revertices away, and ``_verify_decomposition``
+certifies the result by relabelling it block by block into
+``transitive_blowup(H, sizes)``.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import config
+from . import kernels
 from .core import (
     Tournament,
+    _dominant_switch_set,
     format_trn,
     induced,
     is_isomorphic,
@@ -28,7 +33,7 @@ from .core import (
     switch,
     switching_isomorphic,
 )
-from .cr import cr_associated, COVERTICES, REVERTICES, is_basic
+from .cr import COVERTICES, _witnesses, cr_associated, is_basic
 from .detkit import max_subtournament_det, tournament_det
 from .errors import InvalidArgumentError, ResourceLimitError
 from .lfamily import gen_ln
@@ -79,27 +84,37 @@ def one_transitive_blowups(t: Tournament) -> list[Tournament]:
     return out
 
 
-def contains_switching_isomorphic(
-    t: Tournament, h: Tournament, cap: Optional[int] = None
-) -> Optional[tuple[int, ...]]:
-    """Vertex subset inducing a subtournament switching-isomorphic to h
-    (xi(h) membership witness), scanning subsets in lexicographic
-    order; None when there is none (in particular when h is larger
-    than t)."""
-    limit = config.scan_cap() if cap is None else cap
-    if t.n > limit:
-        raise ResourceLimitError(f"subset scan of order {t.n} exceeds cap {limit}")
-    if h.n > t.n:
-        return None
+def _first_switching_copy(
+    t: Tournament, h: Tournament
+) -> Optional[tuple[tuple[int, ...], tuple[frozenset[int], tuple[int, ...]]]]:
+    """First h.n-subset of t in lexicographic order inducing a
+    subtournament switching-isomorphic to h, with the witness (w, phi)
+    of ``switching_isomorphic`` for it; None when there is none."""
+    if t.n > kernels.SCAN_LIMIT:
+        raise ResourceLimitError(
+            f"subset scan of order {t.n} exceeds {kernels.SCAN_LIMIT}"
+        )
     # switching preserves determinants, so a cheap det filter first
     target = tournament_det(h)
     for sub in itertools.combinations(range(t.n), h.n):
         cand = induced(t, sub)
         if tournament_det(cand) != target:
             continue
-        if switching_isomorphic(cand, h) is not None:
-            return tuple(sub)
+        wit = switching_isomorphic(cand, h)
+        if wit is not None:
+            return sub, wit
     return None
+
+
+def contains_switching_isomorphic(
+    t: Tournament, h: Tournament
+) -> Optional[tuple[int, ...]]:
+    """Vertex subset inducing a subtournament switching-isomorphic to h
+    (xi(h) membership witness), scanning subsets in lexicographic
+    order; None when there is none (in particular when h is larger
+    than t)."""
+    found = _first_switching_copy(t, h)
+    return None if found is None else found[0]
 
 
 @dataclass(frozen=True)
@@ -132,25 +147,27 @@ class Decomposition:
 
 
 def _verify_decomposition(t: Tournament, dec: Decomposition) -> bool:
-    switched = switch(t, dec.switch_set)
-    seen: set[int] = set()
-    for blk in dec.blocks:
-        seen.update(blk)
-        if is_transitive(induced(switched, blk)) is None:
-            return False
-    if seen != set(range(t.n)):
-        return False
+    """Whether switch(t, W), relabelled base vertex by base vertex and
+    each block along its chain, is exactly transitive_blowup(base,
+    block sizes); every base vertex must name one block and every
+    vertex of t lie in one block."""
     h = dec.base
-    for a, ba in enumerate(dec.base_vertex_of_block):
-        for b, bb in enumerate(dec.base_vertex_of_block):
-            if a == b:
-                continue
-            want = h.skew[ba, bb]
-            for p in dec.blocks[a]:
-                for q in dec.blocks[b]:
-                    if switched.skew[p, q] != want:
-                        return False
-    return True
+    named = sorted(dec.base_vertex_of_block)
+    if len(dec.blocks) != h.n or named != list(range(h.n)):
+        return False
+    switched = switch(t, dec.switch_set)
+    chains: list[list[int]] = [[] for _ in range(h.n)]
+    for blk, b in zip(dec.blocks, dec.base_vertex_of_block):
+        verts = sorted(blk)
+        order = is_transitive(induced(switched, verts))
+        if order is None:
+            return False
+        chains[b] = [verts[i] for i in order]
+    labels = [v for chain in chains for v in chain]
+    if sorted(labels) != list(range(t.n)):
+        return False
+    want = transitive_blowup(h, [len(chain) for chain in chains])
+    return np.array_equal(switched.skew[np.ix_(labels, labels)], want.skew)
 
 
 def as_transitive_blowup_of(
@@ -186,17 +203,6 @@ def as_transitive_blowup_of(
     blocks = [tuple(sorted(g)) for g in groups.values()]
     if len(blocks) != m:
         return None
-    for blk in blocks:
-        if is_transitive(induced(t, blk)) is None:
-            return None
-    # arcs between blocks must be uniform and match the rep pattern
-    for a in range(m):
-        for b in range(a + 1, m):
-            want = t.skew[blocks[a][0], blocks[b][0]]
-            for p in blocks[a]:
-                for q in blocks[b]:
-                    if t.skew[p, q] != want:
-                        return None
     # induced() relabels by sorted vertex, so key blocks by their minimum
     reps_sorted = sorted(blk[0] for blk in blocks)
     block_by_min = {blk[0]: blk for blk in blocks}
@@ -235,88 +241,65 @@ def decompose_brute_force(
 
 
 def decompose_transitive_blowup(
-    t: Tournament, h: Tournament, cap: Optional[int] = None
+    t: Tournament, h: Tournament
 ) -> Optional[Decomposition]:
     """Constructive decomposition of t as a switched transitive blowup
     of the basic tournament h.
 
-    Finds the first subset X (increasing rank) inducing a copy of h up
-    to switching, switches t so that copy is exact, attaches every
-    outside vertex to the unique copy vertex it is CR-associated with,
-    switches the revertex side away, and verifies blocks.  Returns None
-    the moment any step fails; when t genuinely is a switched
-    transitive blowup of a basic strong CR tournament in its exact
-    determinant class, the construction always succeeds.
+    Finds the first subset X (lexicographic order) inducing a copy of h
+    up to switching, switches t so that copy is exact, attaches every
+    outside vertex to the unique copy vertex it is CR-associated with
+    (one product against the copy), switches the revertex side away,
+    and verifies blocks.  Returns None the moment any step fails; when
+    t genuinely is a switched transitive blowup of a basic strong CR
+    tournament in its exact determinant class, the construction always
+    succeeds.
     """
     if not is_basic(h):
         raise InvalidArgumentError("decomposition needs a basic base")
-    limit = config.scan_cap() if cap is None else cap
-    if t.n > limit:
-        raise ResourceLimitError(f"decomposition of order {t.n} exceeds cap {limit}")
-    if h.n > t.n:
+    found = _first_switching_copy(t, h)
+    if found is None:
         return None
-    target = tournament_det(h)
-    for sub in itertools.combinations(range(t.n), h.n):
-        cand = induced(t, sub)
-        if tournament_det(cand) != target:
-            continue
-        wit = switching_isomorphic(cand, h)
-        if wit is None:
-            continue
-        w_loc, phi = wit
-        x = list(sub)
-        w_x = frozenset(x[i] for i in w_loc)
-        t1 = switch(t, w_x)
-        # copy vertex of base vertex j
-        anchor = {phi[i]: x[i] for i in range(h.n)}
-        xset = set(x)
-        blocks = {j: [anchor[j]] for j in range(h.n)}
-        w_re: set[int] = set()
-        ok = True
-        for wv in range(t.n):
-            if wv in xset:
-                continue
-            hit = None
-            for j in range(h.n):
-                others = [y for y in x if y != anchor[j]]
-                prods = {
-                    int(t1.skew[wv, y]) * int(t1.skew[anchor[j], y])
-                    for y in others
-                }
-                if prods == {1}:
-                    hit = (j, COVERTICES)
-                    break
-                if prods == {-1}:
-                    hit = (j, REVERTICES)
-                    break
-            if hit is None:
-                ok = False
-                break
-            j, kind = hit
-            blocks[j].append(wv)
-            if kind == REVERTICES:
-                w_re.add(wv)
-        if not ok:
-            return None
-        dec = Decomposition(
-            frozenset(w_x ^ w_re),
-            tuple(tuple(sorted(blocks[j])) for j in range(h.n)),
-            tuple(range(h.n)),
-            h,
-        )
-        return dec if _verify_decomposition(t, dec) else None
-    return None
+    sub, (w_loc, phi) = found
+    x = list(sub)
+    w_x = frozenset(x[i] for i in w_loc)
+    t1 = switch(t, w_x)
+    outside = [v for v in range(t.n) if v not in x]
+    # copy vertex i (vertex x[i] of t) stands for base vertex phi[i]
+    vertex, sign = _witnesses(
+        induced(t1, x), t1.skew[outside][:, x].astype(np.int64)
+    )
+    if (vertex < 0).any():
+        return None
+    blocks: list[list[int]] = [[] for _ in range(h.n)]
+    for i, v in enumerate(x):
+        blocks[phi[i]].append(v)
+    for v, i in zip(outside, vertex.tolist()):
+        blocks[phi[i]].append(v)
+    w_re = {v for v, sg in zip(outside, sign.tolist()) if sg < 0}
+    dec = Decomposition(
+        w_x ^ w_re,
+        tuple(tuple(sorted(blk)) for blk in blocks),
+        tuple(range(h.n)),
+        h,
+    )
+    return dec if _verify_decomposition(t, dec) else None
 
 
 def switching_to_transitive(t: Tournament) -> Optional[frozenset[int]]:
-    """Switch set making t transitive, anchored off vertex 0; None when
-    t is not switching equivalent to a transitive tournament."""
-    n = t.n
-    for mask in range(1 << max(n - 1, 0)):
-        w = frozenset(v + 1 for v in range(n - 1) if (mask >> v) & 1)
-        if is_transitive(switch(t, w)) is not None:
-            return w
-    return None
+    """Switch set making t transitive, or None when t is not switching
+    equivalent to a transitive tournament.
+
+    Switching t so that vertex 0 dominates everything gives its
+    switching normal form at vertex 0; switching a transitive
+    tournament by the in-neighbours of one of its vertices rotates the
+    chain and keeps it transitive, so the normal form is transitive
+    exactly when some switch of t is.  The set returned is therefore
+    the in-neighbourhood of vertex 0 (never containing 0), not the
+    lowest such set.
+    """
+    w = _dominant_switch_set(t, 0)
+    return w if is_transitive(switch(t, w)) is not None else None
 
 
 @dataclass(frozen=True)
@@ -339,7 +322,7 @@ class D5Classification:
         }
 
 
-def classify_d5(t: Tournament, cap: Optional[int] = None) -> D5Classification:
+def classify_d5(t: Tournament) -> D5Classification:
     """Place t in D_1, D_3 \\ D_1, D_5 \\ D_3 or beyond, and certify the
     in-D_5 cases by an explicit decomposition over L_2, L_4 or L_6.
 
@@ -348,7 +331,7 @@ def classify_d5(t: Tournament, cap: Optional[int] = None) -> D5Classification:
     """
     if t.n < 2:
         raise InvalidArgumentError("classification needs order >= 2")
-    report = max_subtournament_det(t, cap=cap)
+    report = max_subtournament_det(t)
     if report.k == 1:
         w = switching_to_transitive(t)
         dec = None
@@ -366,15 +349,13 @@ def classify_d5(t: Tournament, cap: Optional[int] = None) -> D5Classification:
         return D5Classification("D1", report, dec, agree)
     if report.k in (3, 5):
         base = gen_ln(report.k + 1)
-        dec = decompose_transitive_blowup(t, base, cap=cap)
+        dec = decompose_transitive_blowup(t, base)
         label = "D3\\D1" if report.k == 3 else "D5\\D3"
         return D5Classification(label, report, dec, dec is not None)
     return D5Classification("beyond-D5", report, None, True)
 
 
-def xi_blowup_check(
-    t: Tournament, k: int, cap: Optional[int] = None
-) -> tuple[bool, bool]:
+def xi_blowup_check(t: Tournament, k: int) -> tuple[bool, bool]:
     """For t in D_k \\ D_{k-2} (odd k >= 7): whether t decomposes as a
     switched transitive blowup of L_{k+1}, and whether t contains a
     subtournament switching-isomorphic to L_{k+1}.
@@ -387,11 +368,11 @@ def xi_blowup_check(
         raise InvalidArgumentError("k must be an odd integer >= 7")
     from .detkit import in_dk_exactly
 
-    if not in_dk_exactly(t, k, cap=cap):
+    if not in_dk_exactly(t, k):
         raise InvalidArgumentError(
             f"tournament is not in D_{k} \\ D_{k - 2}"
         )
     h = gen_ln(k + 1)
-    lhs = decompose_transitive_blowup(t, h, cap=cap) is not None
-    rhs = contains_switching_isomorphic(t, h, cap=cap) is not None
+    lhs = decompose_transitive_blowup(t, h) is not None
+    rhs = contains_switching_isomorphic(t, h) is not None
     return lhs, rhs

@@ -3,12 +3,16 @@ basic and strong-CR tournament predicates.
 
 Two vertices are covertices when they agree on every third vertex and
 revertices when they disagree on every third vertex; either way they
-are CR-associated.  A dominating relation sigma attaches a new vertex u
-to a tournament T, giving the extension T(u, sigma); u is a CR vertex
-when it lands CR-associated with some existing vertex.  T (lying in
-D_k minus D_{k-2}) is a CR tournament when every non-CR attachment
-breaks the D_k bound, and a strong CR tournament when all of its
-1-transitive blowups are CR tournaments as well.
+are CR-associated.  Entry (u, v) of S S^t sums the n - 2 products
+s[u, x] s[v, x], so u and v are CR-associated exactly when it is
++-(n-2); likewise a vertex attached by sigma is CR-associated with v
+exactly when entry v of sigma S^t is +-(n-1).  A dominating relation
+sigma attaches a new vertex u to a tournament T, giving the extension
+T(u, sigma); u is a CR vertex when it lands CR-associated with some
+existing vertex.  T (lying in D_k minus D_{k-2}) is a CR tournament
+when every non-CR attachment breaks the D_k bound, and a strong CR
+tournament when all of its 1-transitive blowups are CR tournaments as
+well.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import config, kernels
+from . import kernels
 from .core import Tournament, _append_vertex
 from .detkit import _k_of
 from .errors import (
@@ -65,6 +69,10 @@ def all_sigmas(n: int) -> Iterator[Sigma]:
         )
 
 
+def _kind(sign: int) -> str:
+    return COVERTICES if sign > 0 else REVERTICES
+
+
 def cr_associated(t: Tournament, u1: int, u2: int) -> Optional[str]:
     """Kind of CR association between two vertices, if any.
 
@@ -79,13 +87,10 @@ def cr_associated(t: Tournament, u1: int, u2: int) -> Optional[str]:
         raise InvalidArgumentError("vertex out of range")
     if n == 2:
         return BOTH
-    others = [v for v in range(n) if v != u1 and v != u2]
-    prods = t.skew[u1, others].astype(np.int64) * t.skew[u2, others]
-    if np.all(prods == 1):
-        return COVERTICES
-    if np.all(prods == -1):
-        return REVERTICES
-    return None
+    agree = int(t.skew[u1].astype(np.int64) @ t.skew[u2])
+    if abs(agree) != n - 2:
+        return None
+    return _kind(agree)
 
 
 def extend(t: Tournament, sigma: Sequence[int]) -> Tournament:
@@ -115,10 +120,6 @@ def _witnesses(t: Tournament, sig: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vertex = hit.argmax(axis=1)
     sign = agree[np.arange(vertex.size), vertex]
     return np.where(hit.any(axis=1), vertex, -1), sign
-
-
-def _kind(sign: int) -> str:
-    return COVERTICES if sign > 0 else REVERTICES
 
 
 def cr_vertex_witness(
@@ -160,12 +161,11 @@ def _sigma_text(index: int, n: int) -> str:
     return format(index, f"0{n}b").translate(_SIGN_CHARS)
 
 
-def count_cr_sigmas(t: Tournament, cap: Optional[int] = None) -> int:
+def count_cr_sigmas(t: Tournament) -> int:
     """Number of dominating relations whose attached vertex is CR."""
-    limit = config.scan_cap() if cap is None else cap
-    if t.n > limit:
+    if t.n > kernels.SCAN_LIMIT:
         raise ResourceLimitError(
-            f"sigma scan of order {t.n} exceeds cap {limit}"
+            f"sigma scan of order {t.n} exceeds {kernels.SCAN_LIMIT}"
         )
     return sum(
         int((_witnesses(t, sig)[0] >= 0).sum())
@@ -224,7 +224,7 @@ class CrReport:
         }
 
 
-def is_cr_tournament(t: Tournament, cap: Optional[int] = None) -> CrReport:
+def is_cr_tournament(t: Tournament) -> CrReport:
     """Decide whether t is a CR tournament, with a full report.
 
     k is fixed by the Pfaffian table of t (t lies in D_k \\ D_{k-2}).
@@ -237,10 +237,9 @@ def is_cr_tournament(t: Tournament, cap: Optional[int] = None) -> CrReport:
     exactly when |C sigma| > k somewhere, and all relations are
     decided by one int64 product, taken in blocks of relations.
     """
-    limit = config.scan_cap() if cap is None else cap
-    if t.n + 1 > limit:
+    if t.n + 1 > kernels.SCAN_LIMIT:
         raise ResourceLimitError(
-            f"extension scans of order {t.n + 1} exceed cap {limit}"
+            f"extension scans of order {t.n + 1} exceed {kernels.SCAN_LIMIT}"
         )
     pf = kernels.pfaffian_table(t.skew)
     k = _k_of(int((pf * pf).max()))
@@ -268,14 +267,13 @@ def is_cr_tournament(t: Tournament, cap: Optional[int] = None) -> CrReport:
 
 
 def is_basic(t: Tournament) -> bool:
-    """Order >= 4 with no CR-associated pair (false below order 4)."""
+    """Order >= 4 with no CR-associated pair (false below order 4): no
+    entry of S S^t off the diagonal is +-(n-2).  The diagonal holds
+    n - 1, so it never matches."""
     if t.n < 4:
         return False
-    for u1 in range(t.n):
-        for u2 in range(u1 + 1, t.n):
-            if cr_associated(t, u1, u2) is not None:
-                return False
-    return True
+    s = t.skew.astype(np.int64)
+    return not (np.abs(s @ s.T) == t.n - 2).any()
 
 
 @dataclass(frozen=True)
@@ -298,7 +296,7 @@ class StrongCrReport:
         }
 
 
-def is_strong_cr(t: Tournament, cap: Optional[int] = None) -> StrongCrReport:
+def is_strong_cr(t: Tournament) -> StrongCrReport:
     """CR tournament all of whose 1-transitive blowups are CR.
 
     Checks one blowup per duplicated vertex (the two internal
@@ -311,11 +309,11 @@ def is_strong_cr(t: Tournament, cap: Optional[int] = None) -> StrongCrReport:
     reports = []
     ok = True
     for v, b in enumerate(one_transitive_blowups(t)):
-        rep = is_cr_tournament(b, cap=cap)
+        rep = is_cr_tournament(b)
         reports.append((v, rep))
         if not rep.ok:
             ok = False
-    base = is_cr_tournament(t, cap=cap)
+    base = is_cr_tournament(t)
     if ok and not base.ok:
         # all 1-transitive blowups CR forces the base to be CR
         raise TheoremViolationError(

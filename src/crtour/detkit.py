@@ -8,25 +8,19 @@ All arithmetic is exact.  Single determinants use python-int Bareiss
 elimination.  The scans over all subtournaments read det = Pf^2
 (Cayley) from one Pfaffian table of S_T (``kernels.pfaffian_table``);
 |Pf| <= (n-1)^(n/4), so its int64 entries cannot overflow, and the
-scans stop at order 16 only because the table and the relation scans
-built on it grow as 2^n.
+table raises ResourceLimitError above order 16 (``kernels.SCAN_LIMIT``)
+only because it and the relation scans built on it grow as 2^n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-from . import config, kernels
+from . import kernels
 from .core import Tournament
-from .errors import (
-    InvalidArgumentError,
-    ResourceLimitError,
-    TheoremViolationError,
-)
+from .errors import InvalidArgumentError, TheoremViolationError
 
 
 def skew_adjacency(t: Tournament) -> np.ndarray:
@@ -96,14 +90,9 @@ def _k_of(max_minor: int) -> int:
     return k
 
 
-def max_subtournament_det(t: Tournament, cap: Optional[int] = None) -> DkReport:
+def max_subtournament_det(t: Tournament) -> DkReport:
     """Maximum determinant over all even-cardinality subtournaments
     (odd ones are 0), with the lexicographically smallest witness."""
-    limit = config.scan_cap() if cap is None else cap
-    if t.n > limit:
-        raise ResourceLimitError(
-            f"minor scan of order {t.n} exceeds cap {limit}"
-        )
     best, mask = kernels.max_even_minor(t.skew)
     return DkReport(best, _k_of(best), _mask_vertices(mask))
 
@@ -115,18 +104,13 @@ def _check_k(k: int) -> int:
     return k
 
 
-def in_dk(t: Tournament, k: int, cap: Optional[int] = None) -> bool:
+def in_dk(t: Tournament, k: int) -> bool:
     """True when every subtournament determinant is at most k^2."""
     k = _check_k(k)
-    limit = config.scan_cap() if cap is None else cap
-    if t.n > limit:
-        raise ResourceLimitError(
-            f"minor scan of order {t.n} exceeds cap {limit}"
-        )
     return kernels.first_minor_above(t.skew, k * k) == 0
 
 
-def in_dk_exactly(t: Tournament, k: int, cap: Optional[int] = None) -> bool:
+def in_dk_exactly(t: Tournament, k: int) -> bool:
     """True when t lies in D_k but not D_{k-2} (D_1 itself for k = 1)."""
     k = _check_k(k)
-    return max_subtournament_det(t, cap=cap).k == k
+    return max_subtournament_det(t).k == k

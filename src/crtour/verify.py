@@ -165,6 +165,10 @@ def run_suite(name: str, max_n: Optional[int] = None, seed: int = 0) -> SuiteRep
         )
     fn, default_max_n, hard_cap = _SUITES[name]
     n = default_max_n if max_n is None else int(max_n)
+    if n < 1:
+        raise InvalidArgumentError(
+            f"suite {name} checks nothing at max_n={n}; it needs max_n >= 1"
+        )
     if n > hard_cap:
         raise ResourceLimitError(
             f"suite {name} is capped at max_n={hard_cap} (asked {n})"
@@ -518,6 +522,8 @@ def _t6_det25(max_n: int, seed: int):
 @_suite("ninedet", default_max_n=6, hard_cap=7)
 def _ninedet(max_n: int, seed: int):
     """Blowing one vertex into a 3-cycle multiplies det by exactly 9."""
+    if max_n < 2:
+        return 0, [], {}  # no order >= 2 to sample from
     rng = random.Random(seed)
     cycle = Tournament(
         np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], np.int8)

@@ -8,6 +8,7 @@ import pytest
 
 from crtour import (
     InvalidArgumentError,
+    ResourceLimitError,
     Tournament,
     all_sigmas,
     as_transitive_blowup_of,
@@ -34,7 +35,8 @@ from crtour import (
     transitive_tournament,
     xi_blowup_check,
 )
-from crtour.blowup import _verify_decomposition
+from crtour.blowup import Decomposition, _verify_decomposition
+from crtour.kernels import SCAN_LIMIT
 from crtour.verify import d7_six_tournament
 
 import oracles
@@ -265,6 +267,25 @@ def test_noncr_extension_does_not_decompose():
         assert not in_dk(ext, 5)
 
 
+def test_verify_decomposition_names_every_base_vertex():
+    l4 = gen_ln(4)
+    exact = Decomposition(frozenset(), ((0,), (1,), (2,), (3,)), (0, 1, 2, 3), l4)
+    assert _verify_decomposition(l4, exact)
+    # three vertices cannot be a blowup of the 4-vertex L_4
+    short = Decomposition(frozenset(), ((0,), (1,), (2,)), (0, 1, 2), l4)
+    assert not _verify_decomposition(induced(l4, [0, 1, 2]), short)
+    twice = Decomposition(frozenset(), ((0,), (1,), (2,), (3,)), (0, 1, 2, 2), l4)
+    assert not _verify_decomposition(l4, twice)
+
+
+def test_copy_search_stops_at_scan_limit():
+    big = transitive_tournament(SCAN_LIMIT + 1)
+    with pytest.raises(ResourceLimitError):
+        contains_switching_isomorphic(big, gen_ln(4))
+    with pytest.raises(ResourceLimitError):
+        decompose_transitive_blowup(big, gen_ln(4))
+
+
 def test_decompose_rejects_non_basic_base():
     with pytest.raises(InvalidArgumentError):
         decompose_transitive_blowup(gen_ln(5), gen_ln(5))
@@ -285,11 +306,21 @@ def test_decomposition_json_labels_ln_bases():
 
 
 def test_switching_to_transitive(classes):
-    for t in classes[4] + classes[5]:
+    # order 7 by sample: switched relabelled chains (all diamond-free)
+    # and random tournaments
+    rng = random.Random(10)
+    order7 = []
+    for _ in range(100):
+        p = rng.sample(range(7), 7)
+        chain = Tournament(transitive_tournament(7).skew[np.ix_(p, p)])
+        w = [v for v in range(7) if rng.random() < 0.5]
+        order7 += [switch(chain, w), oracles.random_tournament(rng, 7)]
+    for t in classes[4] + classes[5] + classes[6] + tuple(order7):
         w = switching_to_transitive(t)
         diamond_free = not oracles.has_diamond(t)
         assert (w is not None) == diamond_free
         if w is not None:
+            assert 0 not in w
             assert is_transitive(switch(t, w)) is not None
 
 

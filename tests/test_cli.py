@@ -257,6 +257,19 @@ def test_suite_that_checks_nothing_is_usage_error(capsys):
         assert "checks nothing" in err
 
 
+def test_small_max_n_is_usage_error(capsys):
+    for argv in (
+        ("verify", "ninedet", "--max-n", "1"),
+        ("verify", "ninedet", "--max-n", "0"),
+        ("verify", "ninedet", "--max-n", "-1"),
+        ("verify", "det-sw-invariance", "--max-n", "-1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_theorem_violation_exits_four(capsys, monkeypatch, tmp_path):
     from crtour import TheoremViolationError
 

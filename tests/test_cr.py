@@ -34,6 +34,8 @@ from crtour import (
     transitive_tournament,
 )
 
+from crtour.kernels import SCAN_LIMIT
+
 import oracles
 
 
@@ -79,9 +81,11 @@ def test_l4_has_no_associated_pair():
 
 
 def test_cr_associated_product_criterion(classes):
-    # association iff all pairwise products of theta-products are 1
-    for n in range(3, 6):
+    # association iff all pairwise products of theta-products are 1;
+    # basic iff order >= 4 and no pair meets the criterion
+    for n in range(3, 7):
         for t in classes[n]:
+            any_pair = False
             for u1, u2 in itertools.combinations(range(n), 2):
                 others = [v for v in range(n) if v not in (u1, u2)]
                 prods = [
@@ -90,7 +94,9 @@ def test_cr_associated_product_criterion(classes):
                 crit = all(
                     a * b == 1 for a in prods for b in prods
                 )
+                any_pair |= crit
                 assert (cr_associated(t, u1, u2) is not None) == crit
+            assert is_basic(t) == (n >= 4 and not any_pair)
 
 
 def test_cr_associated_heredity(classes):
@@ -242,11 +248,11 @@ def test_cr_normalize_yields_one_transitive_blowup():
 def test_scan_caps_raise_resource_limit():
     from crtour import ResourceLimitError
 
-    big = transitive_tournament(8)
     with pytest.raises(ResourceLimitError):
-        is_cr_tournament(big, cap=8)  # extensions need order 9
+        # extensions need order SCAN_LIMIT + 1
+        is_cr_tournament(transitive_tournament(SCAN_LIMIT))
     with pytest.raises(ResourceLimitError):
-        count_cr_sigmas(big, cap=7)
+        count_cr_sigmas(transitive_tournament(SCAN_LIMIT + 1))
 
 
 def test_is_trivial_cr():

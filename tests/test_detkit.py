@@ -23,6 +23,7 @@ from crtour import (
     transitive_blowup,
     transitive_tournament,
 )
+from crtour.kernels import SCAN_LIMIT
 from crtour.verify import d7_six_tournament
 
 import oracles
@@ -112,7 +113,7 @@ def test_max_subtournament_det_matches_bruteforce():
 
 def test_max_subtournament_det_cap():
     with pytest.raises(ResourceLimitError):
-        max_subtournament_det(transitive_tournament(6), cap=5)
+        max_subtournament_det(transitive_tournament(SCAN_LIMIT + 1))
 
 
 def test_dk_report_json_is_one_based():
@@ -190,6 +191,6 @@ def test_doubled_paley_determinants(q):
 def test_minor_scan_refuses_int64_overflow_range():
     t = oracles.random_tournament(random.Random(18), 18)
     with pytest.raises(ResourceLimitError):
-        max_subtournament_det(t, cap=18)
+        max_subtournament_det(t)
     with pytest.raises(ResourceLimitError):
-        in_dk(t, 17, cap=18)
+        in_dk(t, 17)
