@@ -149,11 +149,17 @@ class Decomposition:
 def _verify_decomposition(t: Tournament, dec: Decomposition) -> bool:
     """Whether switch(t, W), relabelled base vertex by base vertex and
     each block along its chain, is exactly transitive_blowup(base,
-    block sizes); every base vertex must name one block and every
-    vertex of t lie in one block."""
+    block sizes); every base vertex must name one nonempty block and
+    every vertex of t lie in exactly one block."""
     h = dec.base
     named = sorted(dec.base_vertex_of_block)
-    if len(dec.blocks) != h.n or named != list(range(h.n)):
+    members = sorted(v for blk in dec.blocks for v in blk)
+    if (
+        len(dec.blocks) != h.n
+        or named != list(range(h.n))
+        or members != list(range(t.n))
+        or not all(dec.blocks)
+    ):
         return False
     switched = switch(t, dec.switch_set)
     chains: list[list[int]] = [[] for _ in range(h.n)]
@@ -164,8 +170,6 @@ def _verify_decomposition(t: Tournament, dec: Decomposition) -> bool:
             return False
         chains[b] = [verts[i] for i in order]
     labels = [v for chain in chains for v in chain]
-    if sorted(labels) != list(range(t.n)):
-        return False
     want = transitive_blowup(h, [len(chain) for chain in chains])
     return np.array_equal(switched.skew[np.ix_(labels, labels)], want.skew)
 

@@ -276,6 +276,8 @@ def test_verify_decomposition_names_every_base_vertex():
     assert not _verify_decomposition(induced(l4, [0, 1, 2]), short)
     twice = Decomposition(frozenset(), ((0,), (1,), (2,), (3,)), (0, 1, 2, 2), l4)
     assert not _verify_decomposition(l4, twice)
+    repeated = Decomposition(frozenset(), ((0, 0), (1,), (2,), (3,)), (0, 1, 2, 3), l4)
+    assert not _verify_decomposition(l4, repeated)
 
 
 def test_copy_search_stops_at_scan_limit():
