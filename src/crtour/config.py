@@ -1,7 +1,8 @@
 """Size caps and environment knobs.
 
 CRTOUR_MAX_N overrides the enumeration cap (tournament streams, dedupe
-mode).  Subset and extension scans stop at the fixed order
+mode).  It alone bounds class enumeration: canonical codes are python
+ints of any width.  Subset and extension scans stop at the fixed order
 ``kernels.SCAN_LIMIT``.
 """
 
@@ -10,9 +11,6 @@ import os
 from .errors import InvalidArgumentError
 
 DEFAULT_ENUM_CAP = 8
-
-# int64 bit-packing of the upper triangle needs n(n-1)/2 <= 62
-PACKING_LIMIT = 11
 
 
 def enum_cap() -> int:

@@ -300,12 +300,7 @@ def is_diamond(t: Tournament) -> bool:
 
 def canonical_encoding(t: Tournament) -> int:
     """Lexicographically minimal orientation bit-string over all
-    relabelings, packed as an integer (isomorphism invariant)."""
-    if t.n > config.PACKING_LIMIT:
-        raise ResourceLimitError(
-            f"canonical encoding packs into int64 only up to order "
-            f"{config.PACKING_LIMIT}"
-        )
+    relabelings, as an integer (isomorphism invariant)."""
     return kernels.perm_min_encoding(t.skew)
 
 
@@ -338,19 +333,19 @@ def enumerate_tournaments(
         for val in range(1 << m):
             yield Tournament.from_bits(n, val)
         return
-    if n > config.PACKING_LIMIT:
-        raise ResourceLimitError(
-            f"class enumeration packs encodings into int64; order "
-            f"{n} > {config.PACKING_LIMIT} unsupported"
-        )
     reps = [Tournament(np.zeros((1, 1), np.int8))]
     for k in range(2, n + 1):
         seen: set[int] = set()
+        # theta(new, v_i) rows, one per set of vertices the new one beats
+        beaten = (np.arange(1 << (k - 1))[:, None] >> np.arange(k - 1)) & 1
+        rows = (2 * beaten - 1).astype(np.int8)
+        ext = np.zeros((k, k), np.int8)
         for rep in reps:
-            for wins in range(1 << (k - 1)):
-                row = [1 if (wins >> i) & 1 else -1 for i in range(k - 1)]
-                ext = _append_vertex(rep, row)
-                seen.add(canonical_encoding(ext))
+            ext[:-1, :-1] = rep.skew
+            for row in rows:
+                ext[-1, :-1] = row
+                ext[:-1, -1] = -row
+                seen.add(kernels.perm_min_encoding(ext))
         reps = [Tournament.from_bits(k, code) for code in sorted(seen)]
     yield from reps
 

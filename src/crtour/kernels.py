@@ -1,5 +1,5 @@
 """Hot numeric kernels: exact integer determinants, the Pfaffian subset
-table and permutation scans.
+table and the canonical labelling search.
 
 Each kernel has exactly one implementation.  Single determinants run
 fraction-free (Bareiss) elimination on python integers, so they are
@@ -26,11 +26,28 @@ and attached-vertex product fits int64 far beyond any order whose 2^n
 table fits in memory.  The subset scans stop at order 16
 (``SCAN_LIMIT``) because of table size and of the 2^n-relation
 products built on it, not because of overflow.
+
+The canonical code of a tournament is the least row-major upper-triangle
+bit string (bit (i, j) set when relabelled vertex i beats j) over all n!
+relabelings.  ``_canonical_search`` finds it without enumerating them.
+Row i is the most significant part still open once positions 0..i-1
+are fixed, so every minimal relabeling first minimises row 0, then row
+1, and so on.  A prefix leaves the unplaced vertices in ordered cells:
+the positions that the prefix rows cannot yet tell apart.  Position i
+takes a member v of the first cell, and row i is least when every cell
+puts the vertices beating v (bit 0) before those v beats (bit 1).  So
+placing v splits each cell in two, and the row is the integer of the
+bits 0..0 1..1 per cell.  Each level keeps every placement, over all
+surviving prefixes, whose row equals the level minimum.  Prefixes with
+one code prefix share their cell widths, so their rows compare as
+plain ints.  After n-1 levels the minimum rows concatenate to the code.
+The surviving leaves are exactly the relabelings that reach it, and
+those form one coset of Aut(T), so their number is |Aut(T)|.  The work
+follows the number of tied prefixes, not n!: rigid tournaments keep
+one, and Paley 23 keeps at most |Aut| = 253 per level.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -176,42 +193,47 @@ def first_minor_above(s, bound: int, forced: int = -1) -> int:
     return _lex_first(masks[size[masks] == size[masks].min()])
 
 
-_PERM_CHUNK = 40320
+def _canonical_search(s) -> tuple[int, int]:
+    """(lex-min upper-triangle code, number of relabelings reaching it)
+    of a tournament's skew matrix; see the module docstring.
 
-
-def _perm_codes(s: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    n = s.shape[0]
-    pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
-    m = len(pairs)
-    codes = np.zeros(perms.shape[0], np.int64)
-    for p, (i, j) in enumerate(pairs):
-        bit = (s[perms[:, i], perms[:, j]] > 0).astype(np.int64)
-        codes |= bit << np.int64(m - 1 - p)
-    return codes
-
-
-def _perm_chunks(n: int):
-    it = itertools.permutations(range(n))
-    while chunk := list(itertools.islice(it, _PERM_CHUNK)):
-        yield np.array(chunk, np.int64)
+    A state is the ordered list of cells (bitmasks of unplaced
+    vertices) left by one code-minimal prefix of the relabelled order.
+    """
+    arr = _as_i64(s)
+    n = arr.shape[0]
+    beats = [
+        sum(1 << u for u, b in enumerate(row) if b) for row in (arr > 0).tolist()
+    ]
+    states = [[(1 << n) - 1]]
+    code = 0
+    for i in range(n - 1):
+        best, kept = -1, []
+        for first, *rest in states:
+            cand = first
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                wins = beats[low.bit_length() - 1]
+                row, cells = 0, []
+                for c in (first ^ low, *rest):
+                    won = c & wins
+                    row = (row << c.bit_count()) | ((1 << won.bit_count()) - 1)
+                    cells += [x for x in (c ^ won, won) if x]
+                if row < best or best < 0:
+                    best, kept = row, [cells]
+                elif row == best:
+                    kept.append(cells)
+        code = (code << (n - 1 - i)) | best
+        states = kept
+    return code, len(states)
 
 
 def perm_min_encoding(s) -> int:
     """Minimum row-major upper-triangle bit encoding over all relabelings."""
-    arr = _as_i64(s)
-    n = arr.shape[0]
-    if n * (n - 1) // 2 > 62:
-        raise ValueError("bit packing needs n(n-1)/2 <= 62")
-    if n <= 1:
-        return 0
-    return min(int(_perm_codes(arr, p).min()) for p in _perm_chunks(n))
+    return _canonical_search(s)[0]
 
 
 def perm_aut_count(s) -> int:
     """Number of vertex permutations fixing the tournament (automorphisms)."""
-    arr = _as_i64(s)
-    n = arr.shape[0]
-    if n <= 1:
-        return 1
-    ident = _perm_codes(arr, np.arange(n, dtype=np.int64).reshape(1, n))[0]
-    return sum(int((_perm_codes(arr, p) == ident).sum()) for p in _perm_chunks(n))
+    return _canonical_search(s)[1]

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -241,6 +242,26 @@ def test_decompose_round_trip_random_switched_blowups():
             assert _verify_decomposition(t, dec)
             if t.n <= 7:
                 assert decompose_brute_force(t, base) is not None
+
+
+def test_bruteforce_verifies_each_success_once(monkeypatch):
+    # ``import crtour.blowup as m`` would bind the function ``blowup``
+    module = sys.modules["crtour.blowup"]
+    results = []
+
+    def counted(t, dec):
+        results.append(_verify_decomposition(t, dec))
+        return results[-1]
+
+    monkeypatch.setattr(module, "_verify_decomposition", counted)
+    rng = random.Random(6)
+    base = gen_ln(4)
+    for _ in range(10):
+        t = random_switched_blowup(rng, base, 7)
+        results.clear()
+        dec = decompose_brute_force(t, base)
+        assert dec is not None and _verify_decomposition(t, dec)
+        assert results.count(True) == 1
 
 
 def test_decompose_agrees_with_bruteforce_on_nonblowups():

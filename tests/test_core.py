@@ -341,6 +341,17 @@ def test_enumerate_order7_classes_complete():
     assert len(reps) == 456
 
 
+def test_enumerate_order8_classes():
+    # OEIS A000568: 6880 tournaments of order 8 up to isomorphism
+    reps = list(enumerate_tournaments(8, classes=True))
+    codes = [canonical_encoding(t) for t in reps]
+    assert len(reps) == 6880
+    assert all(a < b for a, b in zip(codes, codes[1:]))
+    assert [t.packed() for t in reps] == codes
+    total = sum(math.factorial(8) // automorphism_count(t) for t in reps)
+    assert total == 1 << 28
+
+
 def test_enumerate_rejects_beyond_cap():
     with pytest.raises(ResourceLimitError):
         list(enumerate_tournaments(9))
@@ -369,6 +380,57 @@ def test_canonical_encoding_matches_bruteforce():
         t = oracles.random_tournament(rng, rng.randint(2, 5))
         ref = int(oracles.brute_canonical_bits(t), 2)
         assert canonical_encoding(t) == ref
+
+
+def _relabelings(t, rng, k):
+    for _ in range(k):
+        perm = list(range(t.n))
+        rng.shuffle(perm)
+        yield apply_permutation(t, perm)
+
+
+def test_canonical_forms_match_oracles_on_every_small_class(classes):
+    rng = random.Random(43)
+    for n in range(1, 7):
+        for rep in classes[n]:
+            code = int(oracles.brute_canonical_bits(rep) or "0", 2)
+            aut = oracles.brute_aut_count(rep)
+            for t in (rep, *_relabelings(rep, rng, 3)):
+                assert canonical_encoding(t) == code
+                assert automorphism_count(t) == aut
+
+
+def test_canonical_forms_match_oracles_at_order7():
+    rng = random.Random(47)
+    for _ in range(10):
+        t = oracles.random_tournament(rng, 7)
+        assert canonical_encoding(t) == int(oracles.brute_canonical_bits(t), 2)
+        assert automorphism_count(t) == oracles.brute_aut_count(t)
+
+
+def test_transitive_canonical_form():
+    # in reversed chain order every later vertex beats every earlier one,
+    # so every bit is 0
+    for n in range(1, 10):
+        t = transitive_tournament(n)
+        assert canonical_encoding(t) == 0
+        assert automorphism_count(t) == 1
+
+
+@pytest.mark.parametrize("q", [7, 11, 19, 23])
+def test_paley_canonical_form(q):
+    from test_detkit import doubled_paley
+
+    # the Paley tournament on F_q: its automorphisms are the maps
+    # x -> a x + b with a a nonzero square, q (q - 1) / 2 of them
+    t = induced(doubled_paley(q), range(q))
+    rng = random.Random(q)
+    code = canonical_encoding(t)
+    assert automorphism_count(t) == q * (q - 1) // 2
+    assert is_isomorphic(Tournament.from_bits(q, code), t) is not None
+    for moved in _relabelings(t, rng, 3):
+        assert canonical_encoding(moved) == code
+        assert automorphism_count(moved) == q * (q - 1) // 2
 
 
 def test_canonical_encoding_is_isomorphism_invariant():
