@@ -60,7 +60,7 @@ def blowup(base: Tournament, parts: Sequence[Tournament]) -> Tournament:
             v = base.skew[i, j]
             arr[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]] = v
             arr[offsets[j] : offsets[j + 1], offsets[i] : offsets[i + 1]] = -v
-    return Tournament(arr)
+    return Tournament._derived(arr)
 
 
 def transitive_blowup(base: Tournament, sizes: Sequence[int]) -> Tournament:

@@ -33,18 +33,37 @@ class Tournament:
         n = arr.shape[0]
         if n < 1:
             raise InvalidArgumentError("a tournament has at least one vertex")
-        if np.any(np.diagonal(arr) != 0):
-            raise InvalidArgumentError("diagonal must be zero")
-        if np.any(arr + arr.T != 0):
-            raise InvalidArgumentError("matrix must be skew-symmetric")
-        if n > 1:
-            off = arr[~np.eye(n, dtype=bool)]
-            if np.any(np.abs(off) != 1):
-                raise InvalidArgumentError(
-                    "every pair needs exactly one arc (off-diagonal +-1)"
-                )
+        if (arr + arr.T).any():
+            raise InvalidArgumentError(
+                "matrix must be skew-symmetric with a zero diagonal"
+            )
+        # n(n-1) nonzero entries, half of them +1: the +1s and their -1
+        # mirrors then fill every off-diagonal slot and leave nothing
+        # for the diagonal.  This also rejects int8 input outside
+        # {-1, 0, 1}, which skipped the range check and whose skew test
+        # holds only mod 256 (-128 is its own negative).
+        pairs = n * (n - 1)
+        ones = np.count_nonzero(arr == 1)
+        if np.count_nonzero(arr) != pairs or 2 * ones != pairs:
+            raise InvalidArgumentError(
+                "every pair needs exactly one arc (off-diagonal +-1)"
+            )
         arr.setflags(write=False)
         self._skew = arr
+
+    @classmethod
+    def _derived(cls, skew) -> "Tournament":
+        """Wrap a private read-only int8 copy of ``skew`` without
+        validation.  Only for results whose validity follows from
+        tournaments and arguments already checked: switching, principal
+        submatrices, one-vertex extensions by a checked relation,
+        relabelings by a checked permutation, blowups and ``from_bits``.
+        """
+        arr = np.array(skew, dtype=np.int8)
+        arr.setflags(write=False)
+        t = cls.__new__(cls)
+        t._skew = arr
+        return t
 
     @property
     def n(self) -> int:
@@ -63,6 +82,8 @@ class Tournament:
         encodes (most significant bit = pair (0,1)).  Bit 1 at pair
         (i, j) with i < j means i -> j.
         """
+        if n < 1:
+            raise InvalidArgumentError("a tournament has at least one vertex")
         m = n * (n - 1) // 2
         if isinstance(bits, str):
             if len(bits) != m or set(bits) - {"0", "1"}:
@@ -82,7 +103,7 @@ class Tournament:
                 arr[i, j] = 1 if b else -1
                 arr[j, i] = -arr[i, j]
                 pos -= 1
-        return cls(arr)
+        return cls._derived(arr)
 
     def bits(self) -> str:
         n = self.n
@@ -106,13 +127,6 @@ class Tournament:
 
     def __repr__(self) -> str:
         return f"Tournament(n={self.n}, bits={self.bits()!r})"
-
-
-def pair_index(n: int, i: int, j: int) -> int:
-    """Position of pair (i, j), i < j, in the row-major upper triangle."""
-    if not (0 <= i < j < n):
-        raise InvalidArgumentError("need 0 <= i < j < n")
-    return i * (n - 1) - i * (i - 1) // 2 + (j - i - 1)
 
 
 def transitive_tournament(n: int) -> Tournament:
@@ -148,27 +162,29 @@ def switch(t: Tournament, w: Iterable[int]) -> Tournament:
     eps = np.ones(t.n, np.int8)
     if wset:
         eps[sorted(wset)] = -1
-    return Tournament(t.skew * np.outer(eps, eps))
+    return Tournament._derived(t.skew * np.outer(eps, eps))
 
 
 def induced(t: Tournament, u: Iterable[int]) -> Tournament:
     """Subtournament on u; vertex k of the result is sorted(u)[k]."""
-    verts = sorted({_check_vertex(t, v) for v in u})
+    verts = sorted({int(v) for v in u})
     if not verts:
         raise InvalidArgumentError("induced subtournament needs vertices")
-    idx = np.array(verts)
-    return Tournament(t.skew[np.ix_(idx, idx)])
+    for v in (verts[0], verts[-1]):
+        _check_vertex(t, v)
+    return Tournament._derived(t.skew[verts][:, verts])
 
 
 def _append_vertex(t: Tournament, theta_row: Sequence[int]) -> Tournament:
-    """Extension by one vertex; theta_row[i] is theta(new, v_i)."""
+    """Extension by one vertex; theta_row[i] is theta(new, v_i), and
+    the caller has checked it is t.n entries of +-1."""
     n = t.n
     arr = np.zeros((n + 1, n + 1), np.int8)
     arr[:n, :n] = t.skew
     for i, r in enumerate(theta_row):
         arr[n, i] = r
         arr[i, n] = -r
-    return Tournament(arr)
+    return Tournament._derived(arr)
 
 
 def is_transitive(t: Tournament) -> Optional[tuple[int, ...]]:
@@ -193,7 +209,7 @@ def apply_permutation(t: Tournament, phi: Sequence[int]) -> Tournament:
     for u in range(n):
         for v in range(n):
             arr[p[u], p[v]] = t.skew[u, v]
-    return Tournament(arr)
+    return Tournament._derived(arr)
 
 
 def is_isomorphic(t1: Tournament, t2: Tournament) -> Optional[tuple[int, ...]]:

@@ -34,7 +34,7 @@ def det_exact(matrix) -> int:
     arr = np.asarray(matrix)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidArgumentError("determinant needs a square matrix")
-    if not np.issubdtype(arr.dtype, np.integer):
+    if arr.dtype.kind not in "iu":
         try:
             ints = np.frompyfunc(int, 1, 1)(arr)
             integral = bool(np.all(ints == arr))
@@ -49,7 +49,7 @@ def det_exact(matrix) -> int:
 def tournament_det(t: Tournament) -> int:
     """det of the skew-adjacency matrix; 0 for odd order, an odd square
     for even order."""
-    return det_exact(t.skew)
+    return kernels.bareiss_det(t.skew)
 
 
 @dataclass(frozen=True)

@@ -101,10 +101,13 @@ def bareiss_det(a) -> int:
                     break
             else:
                 return 0
-        piv = m[j][j]
+        top = m[j]
+        piv = top[j]
         for r in range(j + 1, n):
+            row = m[r]
+            f = row[j]
             for c in range(j + 1, n):
-                m[r][c] = (m[r][c] * piv - m[r][j] * m[j][c]) // prev
+                row[c] = (row[c] * piv - f * top[c]) // prev
         prev = piv
     return sign * m[n - 1][n - 1]
 

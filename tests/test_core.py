@@ -13,8 +13,10 @@ from crtour import (
     ResourceLimitError,
     Tournament,
     apply_permutation,
+    blowup,
     canonical_encoding,
     enumerate_tournaments,
+    extend,
     format_skew,
     format_trn,
     gen_ln,
@@ -29,6 +31,7 @@ from crtour import (
     switching_isomorphic,
     theta,
     tournament_det,
+    transitive_blowup,
     transitive_tournament,
 )
 from crtour.core import automorphism_count
@@ -93,6 +96,8 @@ def test_switch_ln_at_last_vertex_gives_minus_variant():
 def test_switch_rejects_foreign_vertices():
     with pytest.raises(InvalidArgumentError):
         switch(cycle3(), {3})
+    with pytest.raises(InvalidArgumentError):
+        switch(cycle3(), [-1])
 
 
 @given(tournaments(), st.data())
@@ -118,6 +123,14 @@ def test_induced_ln_chain_parts_are_transitive():
 def test_induced_rejects_empty():
     with pytest.raises(InvalidArgumentError):
         induced(cycle3(), ())
+
+
+def test_induced_rejects_out_of_range_vertices():
+    # numpy would read -1 as the last vertex; n is past the end
+    t = gen_ln(4)
+    for verts in ([-1], [t.n], [0, 2, t.n], [-1, 0, 1]):
+        with pytest.raises(InvalidArgumentError):
+            induced(t, verts)
 
 
 # --- is_transitive ----------------------------------------------------
@@ -477,3 +490,111 @@ def test_tournament_rejects_entries_that_wrap_in_int8():
             Tournament(arr)
     with pytest.raises(InvalidArgumentError):
         parse_tournament("0 257\n-257 0\n")
+
+
+# --- construction -----------------------------------------------------
+
+
+def _is_tournament_matrix(rows) -> bool:
+    """Definition: square, n >= 1, zero diagonal, one arc per pair."""
+    n = len(rows)
+    return (
+        n >= 1
+        and all(len(r) == n for r in rows)
+        and all(rows[i][i] == 0 for i in range(n))
+        and all(
+            {rows[i][j], rows[j][i]} == {1, -1}
+            for i in range(n)
+            for j in range(i + 1, n)
+        )
+    )
+
+
+def _accepts(arr) -> bool:
+    try:
+        Tournament(arr)
+    except InvalidArgumentError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.zeros((2, 3), np.int8),
+        np.zeros((0, 0), np.int8),
+        np.array([[1, 1], [-1, 0]]),  # nonzero diagonal, otherwise skew
+        np.array([[0, 1, -1], [-1, 0, 1], [1, 1, 0]]),  # one asymmetric pair
+        np.array([[0, 1, 0], [-1, 0, 1], [0, -1, 0]]),  # skew, one zero pair
+        np.array([[0, 2], [-2, 0]], np.int16),
+        np.array([[0, 2], [-2, 0]], np.int64),
+        np.array([[0, 257], [-257, 0]], np.int16),
+        np.array([[0, 257], [-257, 0]], np.int64),
+        np.array([[0, 0.5], [-0.5, 0]]),
+        # int8 input skips the range check, and -128 is its own negative
+        np.array([[0, 2], [-2, 0]], np.int8),
+        np.array([[0, -128], [-128, 0]], np.int8),
+        np.array([[-128, 1, 0], [-1, -128, 1], [0, -1, 0]], np.int8),
+    ],
+)
+def test_tournament_rejects_invalid_matrices(matrix):
+    with pytest.raises(InvalidArgumentError):
+        Tournament(matrix)
+
+
+def test_tournament_accepts_exactly_the_tournaments():
+    # every 3 x 3 matrix over {-1, 0, 1}, as int8 and as int64, then
+    # random int8 matrices with entries outside that range
+    for entries in itertools.product((-1, 0, 1), repeat=9):
+        rows = [list(entries[3 * i : 3 * i + 3]) for i in range(3)]
+        want = _is_tournament_matrix(rows)
+        assert _accepts(np.array(rows, np.int8)) == want
+        assert _accepts(np.array(rows, np.int64)) == want
+    rng = random.Random(7)
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        rows = [
+            [rng.choice((-128, -2, -1, 0, 1, 2, 127)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        # mirror most entries so the skew test is what gets exercised
+        for i in range(n):
+            for j in range(i):
+                if rng.random() < 0.8:
+                    rows[i][j] = -rows[j][i] if rows[j][i] != -128 else -128
+        assert _accepts(np.array(rows, np.int8)) == _is_tournament_matrix(rows)
+
+
+@given(tournaments(), st.data())
+def test_derived_results_are_fresh_valid_tournaments(t, data):
+    n = t.n
+    w = data.draw(st.sets(st.integers(0, n - 1)))
+    sub = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    sigma = data.draw(
+        st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
+    )
+    phi = data.draw(st.permutations(range(n)))
+    parts = [data.draw(tournaments(max_n=3)) for _ in range(n)]
+    results = [
+        (switch(t, w), (t,)),
+        (induced(t, sub), (t,)),
+        (extend(t, sigma), (t,)),
+        (apply_permutation(t, phi), (t,)),
+        (blowup(t, parts), (t, *parts)),
+        (transitive_blowup(t, [p.n for p in parts]), (t,)),
+        (Tournament.from_bits(n, t.packed()), (t,)),
+        (Tournament.from_bits(n, t.bits()), (t,)),
+        (gen_ln(n + 1), ()),
+    ]
+    for res, inputs in results:
+        assert res.skew.dtype == np.int8
+        assert not res.skew.flags.writeable
+        assert res == Tournament(res.skew)
+        for src in inputs:
+            assert not np.shares_memory(res.skew, src.skew)
+
+
+def test_from_bits_rejects_empty_order():
+    for n in (0, -2):
+        with pytest.raises(InvalidArgumentError):
+            Tournament.from_bits(n, 0)
