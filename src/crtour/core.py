@@ -4,7 +4,10 @@ A tournament of order n is stored as its n x n skew-adjacency matrix
 (entries in {-1, 0, 1}, antisymmetric, zero diagonal).  Vertices are the
 0-based indices 0..n-1; all user-facing output converts to 1-based
 labels.  Tournaments are immutable values: every operation returns a
-new object and is safe to evaluate concurrently.
+new object and is safe to evaluate concurrently.  The constructor
+validates the matrix it is given; operations whose results follow from
+tournaments already validated build them with ``Tournament._derived``,
+which skips the check.
 """
 
 from __future__ import annotations
