@@ -55,7 +55,6 @@ from .blowup import (
     D5Classification,
     Decomposition,
     as_transitive_blowup_of,
-    blowup,
     classify_d5,
     contains_switching_isomorphic,
     decompose_brute_force,

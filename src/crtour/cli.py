@@ -386,6 +386,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # an order too large to allocate, e.g. ``gen ln 99999``
+        print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 3
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

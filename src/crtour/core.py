@@ -215,47 +215,27 @@ def apply_permutation(t: Tournament, phi: Sequence[int]) -> Tournament:
     return Tournament._derived(arr)
 
 
+def _leaf_map(o1: Sequence[int], o2: Sequence[int]) -> tuple[int, ...]:
+    """The relabeling sending the vertex at each position of leaf o1 to
+    the vertex at the same position of leaf o2."""
+    return tuple(b for _, b in sorted(zip(o1, o2)))
+
+
 def is_isomorphic(t1: Tournament, t2: Tournament) -> Optional[tuple[int, ...]]:
     """A permutation phi with theta_{t2}(phi u, phi v) = theta_{t1}(u, v).
 
-    Backtracking over images in ascending order with out-score pruning,
-    so identical inputs yield the identity.
+    The canonical search gives each tournament its code and one leaf
+    relabeling reaching it; equal codes mean isomorphic, and phi maps
+    t1's leaf onto t2's position by position.  The search is
+    deterministic, so identical inputs yield the identity.
     """
     if t1.n != t2.n:
         return None
-    n = t1.n
-    s1, s2 = t1.skew, t2.skew
-    sc1 = [int(x) for x in (s1 > 0).sum(axis=1)]
-    sc2 = [int(x) for x in (s2 > 0).sum(axis=1)]
-    if sorted(sc1) != sorted(sc2):
+    code1, _, o1 = kernels._canonical_search(t1.skew)
+    code2, _, o2 = kernels._canonical_search(t2.skew)
+    if code1 != code2:
         return None
-
-    phi: list[int] = [-1] * n
-    used = [False] * n
-
-    def assign(d: int) -> bool:
-        if d == n:
-            return True
-        for w in range(n):
-            if used[w] or sc2[w] != sc1[d]:
-                continue
-            ok = True
-            for e in range(d):
-                if s2[w, phi[e]] != s1[d, e]:
-                    ok = False
-                    break
-            if ok:
-                phi[d] = w
-                used[w] = True
-                if assign(d + 1):
-                    return True
-                used[w] = False
-        phi[d] = -1
-        return False
-
-    if not assign(0):
-        return None
-    res = tuple(phi)
+    res = _leaf_map(o1, o2)
     assert apply_permutation(t1, res) == t2
     return res
 
@@ -288,24 +268,23 @@ def switching_isomorphic(
 ) -> Optional[tuple[frozenset[int], tuple[int, ...]]]:
     """Witness (w, phi) with switch(t1, w) isomorphic to t2 via phi.
 
-    Normalises t1 at vertex 0 (switch so 0 dominates everything), then
-    tries each vertex u of t2 as the image of 0 under the same
-    normalisation.  Complete: any witness maps the dominant vertex of
-    one normal form onto the dominant vertex of the other.
+    Takes the canonical code and leaf of t1's switching normal form at
+    vertex 0 (switched so 0 dominates everything) once, then compares
+    them with those of t2's normal form at each vertex u.  Complete:
+    any witness maps vertex 0 to some u, and the normal forms at 0 and
+    at u are then isomorphic.
     """
     if t1.n != t2.n:
         return None
-    n = t1.n
-    if n == 1:
-        return frozenset(), (0,)
     w1 = _dominant_switch_set(t1, 0)
-    n1 = switch(t1, w1)
-    for u in range(n):
+    code1, _, o1 = kernels._canonical_search(switch(t1, w1).skew)
+    for u in range(t2.n):
         w2 = _dominant_switch_set(t2, u)
-        phi = is_isomorphic(n1, switch(t2, w2))
-        if phi is None:
+        code2, _, o2 = kernels._canonical_search(switch(t2, w2).skew)
+        if code2 != code1:
             continue
-        w = frozenset(w1 ^ {v for v in range(n) if phi[v] in w2})
+        phi = _leaf_map(o1, o2)
+        w = frozenset(w1 ^ {v for v in range(t1.n) if phi[v] in w2})
         assert apply_permutation(switch(t1, w), phi) == t2
         return w, phi
     return None

@@ -42,9 +42,13 @@ surviving prefixes, whose row equals the level minimum.  Prefixes with
 one code prefix share their cell widths, so their rows compare as
 plain ints.  After n-1 levels the minimum rows concatenate to the code.
 The surviving leaves are exactly the relabelings that reach it, and
-those form one coset of Aut(T), so their number is |Aut(T)|.  The work
-follows the number of tied prefixes, not n!: rigid tournaments keep
-one, and Paley 23 keeps at most |Aut| = 253 per level.
+those form one coset of Aut(T), so their number is |Aut(T)|.  The
+search also returns one leaf: the vertex placed at each position.  Two
+tournaments are isomorphic exactly when their codes agree, and then
+mapping the vertex at each position of one leaf to the vertex at the
+same position of the other is an isomorphism.  The work follows the
+number of tied prefixes, not n!: rigid tournaments keep one, and Paley
+23 keeps at most |Aut| = 253 per level.
 """
 
 from __future__ import annotations
@@ -178,58 +182,58 @@ def max_even_minor(s) -> tuple[int, int]:
     return best, _lex_first(np.flatnonzero(dets == best))
 
 
-def first_minor_above(s, bound: int, forced: int = -1) -> int:
+def first_minor_above(s, bound: int) -> int:
     """First even-cardinality subset whose determinant exceeds ``bound``:
     smallest cardinality first, then smallest as a sorted index tuple.
 
-    Returns the subset as a bitmask, or 0 when none exists.  ``forced``
-    restricts the scan to subsets containing that vertex.
+    Returns the subset as a bitmask, or 0 when none exists.
     """
     pf = pfaffian_table(s)
     size = _popcounts(pf.size)
-    hit = (pf * pf > bound) & (size > 0) & (size % 2 == 0)
-    if forced >= 0:
-        hit &= (np.arange(pf.size) >> forced) & 1 == 1
-    masks = np.flatnonzero(hit)
+    masks = np.flatnonzero((pf * pf > bound) & (size > 0) & (size % 2 == 0))
     if masks.size == 0:
         return 0
     return _lex_first(masks[size[masks] == size[masks].min()])
 
 
-def _canonical_search(s) -> tuple[int, int]:
-    """(lex-min upper-triangle code, number of relabelings reaching it)
-    of a tournament's skew matrix; see the module docstring.
+def _canonical_search(s) -> tuple[int, int, tuple[int, ...]]:
+    """(lex-min upper-triangle code, number of relabelings reaching it,
+    one such relabeling as the vertex at each position) of a
+    tournament's skew matrix; see the module docstring.
 
-    A state is the ordered list of cells (bitmasks of unplaced
-    vertices) left by one code-minimal prefix of the relabelled order.
+    A state is the prefix of vertices placed so far and the ordered
+    list of cells (bitmasks of unplaced vertices) it leaves; every
+    state's prefix is code-minimal.
     """
     arr = _as_i64(s)
     n = arr.shape[0]
     beats = [
         sum(1 << u for u, b in enumerate(row) if b) for row in (arr > 0).tolist()
     ]
-    states = [[(1 << n) - 1]]
+    states = [((), [(1 << n) - 1])]
     code = 0
     for i in range(n - 1):
         best, kept = -1, []
-        for first, *rest in states:
+        for placed, (first, *rest) in states:
             cand = first
             while cand:
                 low = cand & -cand
                 cand ^= low
-                wins = beats[low.bit_length() - 1]
+                v = low.bit_length() - 1
+                wins = beats[v]
                 row, cells = 0, []
                 for c in (first ^ low, *rest):
                     won = c & wins
                     row = (row << c.bit_count()) | ((1 << won.bit_count()) - 1)
                     cells += [x for x in (c ^ won, won) if x]
                 if row < best or best < 0:
-                    best, kept = row, [cells]
+                    best, kept = row, [(placed + (v,), cells)]
                 elif row == best:
-                    kept.append(cells)
+                    kept.append((placed + (v,), cells))
         code = (code << (n - 1 - i)) | best
         states = kept
-    return code, len(states)
+    placed, cells = states[0]
+    return code, len(states), placed + tuple(c.bit_length() - 1 for c in cells if c)
 
 
 def perm_min_encoding(s) -> int:

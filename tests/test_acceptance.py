@@ -267,7 +267,8 @@ def test_ac14_three_cycle_blowup_multiplies_by_nine():
         cycle = Tournament(
             np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], np.int8)
         )
-        from crtour import blowup, transitive_tournament
+        from crtour import transitive_tournament
+        from crtour.blowup import blowup
 
         for _ in range(1000):
             n = rng.randint(2, 6)

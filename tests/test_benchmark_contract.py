@@ -1,0 +1,44 @@
+"""The benchmark in ``perfbench/`` looks crtour up by name: every span
+in ``tracer.TRACED`` and every ``Job.api`` of its workloads must
+resolve, or a benchmark run fails where tier-1 passed."""
+
+import importlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    # the benchmark's tree stays untouched: no bytecode written there
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("tracer"), importlib.import_module("workloads")
+
+
+def _resolve(mod: str, name: str):
+    return getattr(importlib.import_module(f"crtour.{mod}"), name)
+
+
+def test_traced_names_resolve(perfbench):
+    tracer, _ = perfbench
+    for mod, names in tracer.TRACED.items():
+        for name in names:
+            assert callable(_resolve(mod, name)), f"{mod}.{name}"
+
+
+def test_workload_apis_resolve(perfbench):
+    import crtour
+
+    _, workloads = perfbench
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+    for name in (w["name"] for w in declared):
+        jobs = workloads.build(name, crtour, 0)
+        assert jobs
+        for api in {job.api for job in jobs}:
+            assert callable(_resolve(*api.split("."))), f"{name}: {api}"

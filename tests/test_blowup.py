@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from crtour import (
     Tournament,
     all_sigmas,
     as_transitive_blowup_of,
-    blowup,
     classify_d5,
     contains_switching_isomorphic,
     cr_associated,
@@ -36,7 +34,7 @@ from crtour import (
     transitive_tournament,
     xi_blowup_check,
 )
-from crtour.blowup import Decomposition, _verify_decomposition
+from crtour.blowup import Decomposition, _verify_decomposition, blowup
 from crtour.kernels import SCAN_LIMIT
 from crtour.verify import d7_six_tournament
 
@@ -244,16 +242,21 @@ def test_decompose_round_trip_random_switched_blowups():
                 assert decompose_brute_force(t, base) is not None
 
 
+def test_blowup_module_is_not_shadowed():
+    import crtour.blowup as module
+
+    assert module.__name__ == "crtour.blowup"
+    assert module.blowup is blowup
+
+
 def test_bruteforce_verifies_each_success_once(monkeypatch):
-    # ``import crtour.blowup as m`` would bind the function ``blowup``
-    module = sys.modules["crtour.blowup"]
     results = []
 
     def counted(t, dec):
         results.append(_verify_decomposition(t, dec))
         return results[-1]
 
-    monkeypatch.setattr(module, "_verify_decomposition", counted)
+    monkeypatch.setattr("crtour.blowup._verify_decomposition", counted)
     rng = random.Random(6)
     base = gen_ln(4)
     for _ in range(10):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from crtour import format_skew, format_trn, gen_ln, parse_tournament
 from crtour.cli import main
 from crtour.verify import d7_six_tournament
@@ -284,3 +286,21 @@ def test_theorem_violation_exits_four(capsys, monkeypatch, tmp_path):
     assert out == ""
     assert err == "internal error: synthetic disagreement\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError("Unable to allocate 9.31 GiB"), "Unable to allocate 9.31 GiB"),
+        (MemoryError(), "out of memory"),
+    ],
+)
+def test_memory_error_is_resource_limit(capsys, monkeypatch, exc, message):
+    def too_large(n):
+        raise exc
+
+    monkeypatch.setattr("crtour.cli.gen_ln", too_large)
+    code, out, err = run_cli(capsys, "gen", "ln", "99999")
+    assert code == 3
+    assert out == ""
+    assert err == f"resource limit: {message}\n"

@@ -13,7 +13,6 @@ from crtour import (
     ResourceLimitError,
     Tournament,
     apply_permutation,
-    blowup,
     canonical_encoding,
     enumerate_tournaments,
     extend,
@@ -34,6 +33,7 @@ from crtour import (
     transitive_blowup,
     transitive_tournament,
 )
+from crtour.blowup import blowup
 from crtour.core import automorphism_count
 
 import oracles
@@ -164,8 +164,10 @@ def test_is_transitive_ordering_is_a_chain():
 
 
 def test_is_isomorphic_identity_first():
-    t = gen_ln(6)
-    assert is_isomorphic(t, t) == tuple(range(6))
+    from test_detkit import doubled_paley
+
+    for t in (gen_ln(6), induced(doubled_paley(11), range(11))):
+        assert is_isomorphic(t, t) == tuple(range(t.n))
 
 
 def test_is_isomorphic_cycle_relabelings():
@@ -306,6 +308,39 @@ def test_switching_isomorphic_matches_bruteforce():
         got = switching_isomorphic(t1, t2)
         ref = oracles.brute_switching_isomorphic(t1, t2)
         assert (got is None) == (ref is None)
+        if got is not None:
+            w, phi = got
+            assert apply_permutation(switch(t1, w), phi) == t2
+
+
+def test_isomorphism_witnesses_where_many_leaves_tie():
+    from test_detkit import doubled_paley
+
+    # the canonical search keeps many tied leaves on Paley q = 7, 11, 19
+    # (|Aut| = q(q-1)/2), doubled Paley 8 and 12, and L_4 to L_12
+    tied = [induced(doubled_paley(q), range(q)) for q in (7, 11, 19)]
+    tied += [doubled_paley(q) for q in (7, 11)]
+    tied += [gen_ln(n) for n in range(4, 13)]
+    rng = random.Random(29)
+    for t in tied:
+        n = t.n
+        for _ in range(3):
+            w = frozenset(v for v in range(n) if rng.random() < 0.5)
+            perm = rng.sample(range(n), n)
+            moved = apply_permutation(t, perm)
+            switched = apply_permutation(switch(t, w), perm)
+            phi = is_isomorphic(t, moved)
+            assert phi is not None and apply_permutation(t, phi) == moved
+            got = is_isomorphic(t, switched)
+            if got is not None:
+                assert apply_permutation(t, got) == switched
+            res = switching_isomorphic(t, switched)
+            assert res is not None
+            assert apply_permutation(switch(t, res[0]), res[1]) == switched
+            if n <= 6:
+                ref = oracles.brute_isomorphic(t, switched)
+                assert (got is None) == (ref is None)
+                assert oracles.brute_switching_isomorphic(t, switched)
 
 
 # --- diamonds ---------------------------------------------------------

@@ -81,25 +81,6 @@ def test_first_minor_above_consistent_with_max():
                 assert mask == 0
 
 
-def test_first_minor_above_forced_vertex():
-    rng = random.Random(3)
-    for _ in range(60):
-        n = rng.randint(3, 7)
-        t = random_tournament(rng, n)
-        forced = rng.randrange(n)
-        mask = kernels.first_minor_above(t.skew, 1, forced=forced)
-        if mask:
-            assert (mask >> forced) & 1
-        # exhaustive complement: no subset through `forced` beats 1
-        if not mask:
-            import itertools
-
-            for c in range(2, n + 1, 2):
-                for sub in itertools.combinations(range(n), c):
-                    if forced in sub:
-                        assert det_leibniz(t.skew[np.ix_(sub, sub)]) <= 1
-
-
 def test_bareiss_matches_leibniz_on_skew_matrices():
     rng = random.Random(4)
     for n in range(2, 9):
@@ -209,18 +190,15 @@ def test_first_minor_above_is_first_in_size_then_lex_order():
         n = rng.randint(2, 7)
         t = random_tournament(rng, n)
         bound = rng.choice((0, 1, 9))
-        forced = rng.choice((-1, rng.randrange(n)))
         want = 0
         for c in range(2, n + 1, 2):
             for sub in itertools.combinations(range(n), c):
-                if forced >= 0 and forced not in sub:
-                    continue
                 if det_leibniz(t.skew[np.ix_(sub, sub)]) > bound:
                     want = sum(1 << v for v in sub)
                     break
             if want:
                 break
-        assert kernels.first_minor_above(t.skew, bound, forced=forced) == want
+        assert kernels.first_minor_above(t.skew, bound) == want
 
 
 def test_minor_scans_refuse_non_skew_input():
