@@ -48,30 +48,31 @@ def blowup(base: Tournament, parts: Sequence[Tournament]) -> Tournament:
         raise InvalidArgumentError("need one part per base vertex")
     if any(p.n < 1 for p in parts):
         raise InvalidArgumentError("parts must be nonempty tournaments")
-    sizes = [p.n for p in parts]
-    total = sum(sizes)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    arr = np.zeros((total, total), np.int8)
-    for i, p in enumerate(parts):
-        a = offsets[i]
-        arr[a : a + p.n, a : a + p.n] = p.skew
-    for i in range(base.n):
-        for j in range(i + 1, base.n):
-            v = base.skew[i, j]
-            arr[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]] = v
-            arr[offsets[j] : offsets[j + 1], offsets[i] : offsets[i + 1]] = -v
+    # base vertex of every result vertex; diagonal blocks come out 0
+    owner = np.repeat(np.arange(base.n), [p.n for p in parts])
+    arr = base.skew[np.ix_(owner, owner)]
+    start = 0
+    for p in parts:
+        arr[start : start + p.n, start : start + p.n] = p.skew
+        start += p.n
     return Tournament._derived(arr)
 
 
 def transitive_blowup(base: Tournament, sizes: Sequence[int]) -> Tournament:
-    """Blowup with transitive chains of the given sizes as parts."""
-    from .core import transitive_tournament
-
+    """Blowup with transitive chains of the given sizes as parts: inside
+    a part, the earlier result vertex beats the later one."""
     if len(sizes) != base.n:
         raise InvalidArgumentError("need one size per base vertex")
-    if any(int(s) < 1 for s in sizes):
+    sizes = [int(s) for s in sizes]
+    if any(s < 1 for s in sizes):
         raise InvalidArgumentError("part sizes must be positive")
-    return blowup(base, [transitive_tournament(int(s)) for s in sizes])
+    owner = np.repeat(np.arange(base.n), sizes)
+    pos = np.arange(owner.size)
+    chain = np.sign(pos[None, :] - pos[:, None]).astype(np.int8)
+    same = owner[:, None] == owner[None, :]
+    return Tournament._derived(
+        np.where(same, chain, base.skew[np.ix_(owner, owner)])
+    )
 
 
 def one_transitive_blowups(t: Tournament) -> list[Tournament]:

@@ -11,9 +11,9 @@ that must agree by a proven identity disagreed).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from .core import (
@@ -213,10 +213,11 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = available_suites() if args.suite == "all" else args.suite.split(",")
-    jobs = max(1, args.jobs)
+    # the pool starts every worker up front: one per suite at most
+    jobs = min(max(1, args.jobs), len(names))
     reports = []
-    if jobs > 1 and len(names) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             futs = [
                 pool.submit(run_suite, name, args.max_n, args.seed)
                 for name in names
@@ -356,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", help="suite name, comma list, or 'all'")
     p.add_argument("--max-n", dest="max_n", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="parallel suites")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="parallel suites (one worker per suite at most)"
+    )
     add_common(p)
     p.set_defaults(fn=_cmd_verify)
 

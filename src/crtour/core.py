@@ -182,11 +182,11 @@ def _append_vertex(t: Tournament, theta_row: Sequence[int]) -> Tournament:
     """Extension by one vertex; theta_row[i] is theta(new, v_i), and
     the caller has checked it is t.n entries of +-1."""
     n = t.n
+    row = np.asarray(theta_row, np.int8)
     arr = np.zeros((n + 1, n + 1), np.int8)
     arr[:n, :n] = t.skew
-    for i, r in enumerate(theta_row):
-        arr[n, i] = r
-        arr[i, n] = -r
+    arr[n, :n] = row
+    arr[:n, n] = -row
     return Tournament._derived(arr)
 
 
@@ -207,11 +207,9 @@ def apply_permutation(t: Tournament, phi: Sequence[int]) -> Tournament:
     n = t.n
     if sorted(phi) != list(range(n)):
         raise InvalidArgumentError("phi must be a permutation of 0..n-1")
+    p = np.asarray(phi, np.intp)
     arr = np.zeros((n, n), np.int8)
-    p = list(phi)
-    for u in range(n):
-        for v in range(n):
-            arr[p[u], p[v]] = t.skew[u, v]
+    arr[np.ix_(p, p)] = t.skew
     return Tournament._derived(arr)
 
 

@@ -140,25 +140,16 @@ def cr_vertex_witness(
     return CrWitness(int(vertex[0]), _kind(sign[0]))
 
 
-# relations per block of the relation scans; a block's product holds
-# 2^(n-1) x 64 int64 entries (8 MB at order 15)
-_SIGMA_BLOCK = 64
+# int64 entries per product of the relation scan (256 KB); small
+# chunks let the active set shrink before most rows are reached
+_SCAN_ENTRIES = 1 << 15
 
 
-def _sigma_blocks(n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The all_sigmas order as +-1 int64 matrices of _SIGMA_BLOCK rows,
-    each with the index of its first relation."""
-    digits = np.arange(n - 1, -1, -1)
-    for start in range(0, 1 << n, _SIGMA_BLOCK):
-        idx = np.arange(start, min(1 << n, start + _SIGMA_BLOCK))[:, None]
-        yield start, 2 * ((idx >> digits) & 1) - 1
-
-
-_SIGN_CHARS = str.maketrans("10", "+-")
-
-
-def _sigma_text(index: int, n: int) -> str:
-    return format(index, f"0{n}b").translate(_SIGN_CHARS)
+def _sigmas(n: int) -> np.ndarray:
+    """All 2^n dominating relations as one +-1 int64 matrix, one row
+    per relation in all_sigmas order."""
+    idx = np.arange(1 << n)[:, None]
+    return 2 * ((idx >> np.arange(n - 1, -1, -1)) & 1) - 1
 
 
 def count_cr_sigmas(t: Tournament) -> int:
@@ -167,10 +158,7 @@ def count_cr_sigmas(t: Tournament) -> int:
         raise ResourceLimitError(
             f"sigma scan of order {t.n} exceeds {kernels.SCAN_LIMIT}"
         )
-    return sum(
-        int((_witnesses(t, sig)[0] >= 0).sum())
-        for _, sig in _sigma_blocks(t.n)
-    )
+    return int((_witnesses(t, _sigmas(t.n))[0] >= 0).sum())
 
 
 def cr_normalize(
@@ -233,36 +221,60 @@ def is_cr_tournament(t: Tournament) -> CrReport:
     extensions must stay in D_k \\ D_{k-2} (cross-check).  Because t
     itself is in D_k, any subset of the extension violating the bound
     is X + u for an odd subset X of t, and Pf(X + u) = -C[X] @ sigma
-    with C from ``kernels.attach_coefficients``; so sigma violates
-    exactly when |C sigma| > k somewhere, and all relations are
-    decided by one int64 product, taken in blocks of relations.
+    with C from ``kernels.attach_table``; so sigma violates exactly
+    when |C[X] sigma| > k for some X.
+
+    Only rows that can violate are scanned: |C[X] sigma| <= ||C[X]||_1,
+    so rows of L1 norm at most k (every even X among them) are dropped.
+    The rest go largest norm first, in chunks of at most _SCAN_ENTRIES
+    int64 products, against the *active* relations: those no earlier
+    row has shown to violate.  A relation leaves the active set only on
+    a violation, so the relations still active after the last row are
+    exactly the non-violating ones.  On a CR tournament almost every
+    non-CR relation leaves on the first chunk.  Witnesses come from one
+    product of the relation matrix with S^t.
     """
     if t.n + 1 > kernels.SCAN_LIMIT:
         raise ResourceLimitError(
             f"extension scans of order {t.n + 1} exceed {kernels.SCAN_LIMIT}"
         )
-    pf = kernels.pfaffian_table(t.skew)
+    pf, coef = kernels.attach_table(t.skew)
     k = _k_of(int((pf * pf).max()))
     if is_trivial_cr(t):
         return CrReport(True, k, True)
-    coef = kernels.attach_coefficients(pf)
-    coef = coef[coef.any(axis=1)]  # rows of even X are zero
+    norm = np.abs(coef).sum(axis=1)
+    keep = np.flatnonzero(norm > k)  # |C[X] sigma| <= norm[X] for all sigma
+    coef = coef[keep[np.argsort(-norm[keep])]]
+    sig = _sigmas(t.n)
+    active = np.arange(sig.shape[0])  # relations not yet seen to violate
+    start = 0
+    while active.size and start < coef.shape[0]:
+        stop = start + max(1, _SCAN_ENTRIES // active.size)
+        pfs = coef[start:stop] @ sig[active].T
+        active = active[(np.abs(pfs, out=pfs) <= k).all(axis=0)]
+        start = stop
+    violates = np.ones(sig.shape[0], bool)
+    violates[active] = False
+    vertex, sign = _witnesses(t, sig)
+    cr = vertex >= 0
+    listed = np.flatnonzero(cr | ~violates)
+    chars = np.where(sig > 0, ord("+"), ord("-")).astype(np.uint8)
+    text = chars.tobytes().decode("ascii")
+    n = t.n
     failures = []
     witness_map = {}
-    for start, sig in _sigma_blocks(t.n):
-        pfs = coef @ sig.T
-        violates = np.abs(pfs, out=pfs).max(axis=0) > k
-        vertex, sign = _witnesses(t, sig)
-        cr = vertex >= 0
-        for i in np.flatnonzero(cr | ~violates).tolist():
-            text = _sigma_text(start + i, t.n)
-            if cr[i]:
-                witness_map[text] = {
-                    "vertex": int(vertex[i]) + 1,
-                    "kind": _kind(sign[i]),
-                }
-            if cr[i] == violates[i]:
-                failures.append(text)
+    for i, is_cr, bad, v, sg in zip(
+        listed.tolist(),
+        cr[listed].tolist(),
+        violates[listed].tolist(),
+        vertex[listed].tolist(),
+        sign[listed].tolist(),
+    ):
+        key = text[i * n : (i + 1) * n]
+        if is_cr:
+            witness_map[key] = {"vertex": v + 1, "kind": _kind(sg)}
+        if is_cr == bad:
+            failures.append(key)
     return CrReport(not failures, k, False, tuple(failures), witness_map)
 
 

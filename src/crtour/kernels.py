@@ -15,10 +15,14 @@ highest vertex h gives
 pos(j) counting the members of X below j.  The subsets with highest
 vertex h form the bitmask block [2^h, 2^(h+1)), so ``pfaffian_table``
 fills the Pfaffian of every vertex subset block by block in O(2^n n).
-The same expansion shows that Pf(X + u) for an attached vertex u is
-linear in u's column, with coefficients +-Pf(X - j)
-(``attach_coefficients``); that is the general form of the bordered
-identity det = (a + x^t S^-1 y)^2.
+Block h is one gather and one matrix-vector product:
+Pf(Y + h) = sum_j sgn(Y, j) s[j, h] Pf(Y - j) over Y below 2^h, read
+through two index tables built once per call, Y ^ 2^j and
+sgn(Y, j) = (-1)^|Y & [0, j)| (0 when j is not in Y).  The same
+expansion shows that Pf(X + u) for an attached vertex u is linear in
+u's column, with coefficients C[X, j] = sgn(X, j) Pf(X - j): the same
+gather once more (``attach_table``).  That is the general form of the
+bordered identity det = (a + x^t S^-1 y)^2.
 
 Entries in {-1, 0, 1} bound every row norm by sqrt(n-1), so
 |Pf(X)| <= (n-1)^(n/4) (Hadamard) and every table value, partial sum
@@ -116,41 +120,54 @@ def bareiss_det(a) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _popcounts(size: int) -> np.ndarray:
-    """Number of set bits of every mask below ``size`` (a power of 2)."""
-    pc = np.zeros(1, np.int64)
-    while pc.size < size:
-        pc = np.concatenate([pc, pc + 1])
-    return pc
-
-
-def attach_coefficients(pf: np.ndarray) -> np.ndarray:
-    """Matrix C with Pf(X + h) = sum_j C[X, j] s[j, h] for every subset
-    X of {0..h-1}, given the table ``pf`` of those subsets (length 2^h).
-
-    C[X, j] = (-1)^pos(j) Pf(X - j) for j in X and 0 otherwise; rows of
-    even X are all zero.
-    """
-    h = pf.size.bit_length() - 1
-    c = np.zeros((h, pf.size), np.int64)
-    sign = np.ones(1, np.int64)  # (-1)^popcount of each mask below 2^j
+def _attach_index(h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables for attaching a vertex to the subsets of {0..h-1},
+    as (h, 2^h) arrays: ``flip[j, X] = X ^ 2^j`` and ``sign[j, X]`` =
+    (-1)^|X & [0, j)| when j is in X, else 0.  ``flip`` is already of
+    numpy's index type, so no gather converts it again."""
+    masks = np.arange(1 << h)
+    flip = masks ^ (1 << np.arange(h))[:, None]
+    sign = np.zeros((h, 1 << h), np.int8)
+    parity = np.ones(1, np.int8)  # (-1)^popcount of each mask below 2^j
     for j in range(h):
-        low = 1 << j
-        c[j].reshape(-1, 2, low)[:, 1, :] = (
-            sign * pf.reshape(-1, 2, low)[:, 0, :]
-        )
-        sign = np.concatenate([sign, -sign])
-    return c.T
+        sign[j].reshape(-1, 2, 1 << j)[:, 1, :] = parity
+        parity = np.concatenate([parity, -parity])
+    return flip, sign
+
+
+def _attach_rows(pf: np.ndarray, flip, sign, h: int) -> np.ndarray:
+    """Rows j of the attach coefficients of the subsets of {0..h-1}:
+    (-1)^pos(j) Pf(X - j) at column X for j in X, else 0."""
+    rows = pf[flip[:h, : 1 << h]]
+    rows *= sign[:h, : 1 << h]
+    return rows
+
+
+def _fill(arr: np.ndarray, flip, sign) -> np.ndarray:
+    pf = np.zeros(1 << arr.shape[0], np.int64)
+    pf[0] = 1
+    for h in range(arr.shape[0]):
+        pf[1 << h : 2 << h] = arr[:h, h] @ _attach_rows(pf, flip, sign, h)
+    return pf
 
 
 def pfaffian_table(s) -> np.ndarray:
     """Pf of every vertex subset of a skew matrix, indexed by bitmask:
     Pf(empty) = 1, odd subsets 0, det S[X] = Pf(X)^2."""
     arr = _as_scan_input(s)
-    pf = np.ones(1, np.int64)
-    for h in range(arr.shape[0]):
-        pf = np.concatenate([pf, attach_coefficients(pf) @ arr[:h, h]])
-    return pf
+    return _fill(arr, *_attach_index(max(arr.shape[0] - 1, 0)))
+
+
+def attach_table(s) -> tuple[np.ndarray, np.ndarray]:
+    """The Pfaffian table ``pf`` of a skew matrix of order n and the
+    (2^n, n) matrix C with Pf(X + u) = sum_j C[X, j] s[j, u] for a
+    vertex u attached to it: C[X, j] = (-1)^pos(j) Pf(X - j) for j in
+    X and 0 otherwise, so rows of even X are all zero."""
+    arr = _as_scan_input(s)
+    n = arr.shape[0]
+    flip, sign = _attach_index(n)
+    pf = _fill(arr, flip, sign)
+    return pf, _attach_rows(pf, flip, sign, n).T
 
 
 def _lex_first(masks: np.ndarray) -> int:
@@ -189,7 +206,7 @@ def first_minor_above(s, bound: int) -> int:
     Returns the subset as a bitmask, or 0 when none exists.
     """
     pf = pfaffian_table(s)
-    size = _popcounts(pf.size)
+    size = np.bitwise_count(np.arange(pf.size))
     masks = np.flatnonzero((pf * pf > bound) & (size > 0) & (size % 2 == 0))
     if masks.size == 0:
         return 0

@@ -15,24 +15,27 @@ from typing import Sequence
 import numpy as np
 
 from .core import Tournament, induced, is_transitive, switch, theta
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ResourceLimitError
 
 Signature = tuple[int, ...]
+
+# largest order gen_ln builds (a 16 MB int8 matrix)
+LN_LIMIT = 4096
 
 
 def gen_ln(n: int) -> Tournament:
     """L_n: transitive chain on v_1..v_{n-1}, v_n -> v_i iff i odd."""
     if n < 2:
         raise InvalidArgumentError("L_n needs n >= 2")
+    if n > LN_LIMIT:
+        raise ResourceLimitError(f"L_{n} exceeds the order limit {LN_LIMIT}")
+    chain = np.triu(np.ones((n - 1, n - 1), np.int8), 1)
+    last = np.ones(n - 1, np.int8)
+    last[1::2] = -1  # 0-based even = 1-based odd
     arr = np.zeros((n, n), np.int8)
-    for i in range(n - 1):
-        for j in range(i + 1, n - 1):
-            arr[i, j] = 1
-            arr[j, i] = -1
-    for i in range(n - 1):
-        v = 1 if i % 2 == 0 else -1  # 0-based even = 1-based odd
-        arr[n - 1, i] = v
-        arr[i, n - 1] = -v
+    arr[: n - 1, : n - 1] = chain - chain.T
+    arr[n - 1, : n - 1] = last
+    arr[: n - 1, n - 1] = -last
     return Tournament(arr)
 
 

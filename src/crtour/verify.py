@@ -487,12 +487,12 @@ def _ln_cr_formula(max_n: int, seed: int):
     return checked, failures, {}
 
 
-@_suite("l8-strongcr", default_max_n=8, hard_cap=10)
+@_suite("l8-strongcr", default_max_n=8, hard_cap=14)
 def _l8_strongcr(max_n: int, seed: int):
-    """L_8 (and L_10 when allowed) is basic strong CR by the
-    definition-level scan over every blowup and every relation."""
+    """L_8 (and L_10, L_12, L_14 as max_n allows) is basic strong CR by
+    the definition-level scan over every blowup and every relation."""
     checked, failures = 0, []
-    orders = [8] + ([10] if max_n >= 10 else [])
+    orders = [8] + [n for n in (10, 12, 14) if n <= max_n]
     for n in orders:
         t = gen_ln(n)
         checked += 1

@@ -1,8 +1,10 @@
 """Independent reference implementations used as test oracles.
 
-Nothing here shares code paths with the package: determinants come
-from the permutation expansion, scans from itertools, canonical forms
-and witnesses from plain brute force.
+Nothing here shares code paths with the package, except that
+``scan_cr_report`` decides each relation with the package's minor scan
+on the extended tournament: determinants come from the permutation
+expansion, scans from itertools, canonical forms and witnesses from
+plain brute force.
 """
 
 from __future__ import annotations
@@ -97,33 +99,61 @@ def brute_cr_witness(t: Tournament, sigma):
     return None
 
 
-def brute_cr_report(t: Tournament):
-    """(ok, k, trivial, failures, witness_map) of the CR check, straight
-    from the definitions: k from the Leibniz minor scan, every relation
-    attached and its subsets through u expanded, and every vertex
-    tested for agreeing or disagreeing with u on all other vertices."""
+def _cr_report(t: Tournament, k: int, violates):
+    """(ok, k, trivial, failures, witness_map) of the CR check, given k
+    and a test of whether T(u, sigma) leaves D_k, relation by relation
+    in all_sigmas order, every witness from ``brute_cr_witness``."""
     n = t.n
-    best, _ = brute_max_even_minor(t)
-    k = max(1, round(best**0.5))
     if n <= 2 or (n == 4 and det_leibniz(t.skew) == 9):
         return True, k, True, (), {}
-    u = n
     failures, witness_map = [], {}
     for sigma in itertools.product((-1, 1), repeat=n):
-        s = extend_skew(t, sigma)
-        violates = False
-        for c in range(1, n + 1, 2):
-            subs = [sub + (u,) for sub in itertools.combinations(range(n), c)]
-            idx = np.array(subs)
-            dets = det_leibniz_batch(s[idx[:, :, None], idx[:, None, :]])
-            violates = violates or any(d > k * k for d in dets)
         witness = brute_cr_witness(t, sigma)
         text = "".join("+" if r > 0 else "-" for r in sigma)
         if witness is not None:
             witness_map[text] = witness
-        if (witness is not None) == violates:
+        if (witness is not None) == violates(sigma):
             failures.append(text)
     return not failures, k, False, tuple(failures), witness_map
+
+
+def brute_cr_report(t: Tournament):
+    """The CR check straight from the definitions: k from the Leibniz
+    minor scan, every relation attached and its subsets through u
+    expanded, and every vertex tested for agreeing or disagreeing with
+    u on all other vertices."""
+    n = t.n
+    best, _ = brute_max_even_minor(t)
+    k = max(1, round(best**0.5))
+
+    def violates(sigma):
+        s = extend_skew(t, sigma)
+        for c in range(1, n + 1, 2):
+            subs = [sub + (n,) for sub in itertools.combinations(range(n), c)]
+            idx = np.array(subs)
+            dets = det_leibniz_batch(s[idx[:, :, None], idx[:, None, :]])
+            if any(d > k * k for d in dets):
+                return True
+        return False
+
+    return _cr_report(t, k, violates)
+
+
+def scan_cr_report(t: Tournament):
+    """The CR check one relation at a time, for orders beyond Leibniz:
+    T(u, sigma) leaves D_k exactly when the package's minor scan finds
+    a subset of it with determinant above k^2.  It builds one Pfaffian
+    table per relation and shares nothing with the relation scan under
+    test (norm filter, active set, relation matrix, report assembly)."""
+    from crtour import kernels
+
+    k = max(1, round(kernels.max_even_minor(t.skew)[0] ** 0.5))
+    return _cr_report(
+        t,
+        k,
+        lambda sigma: kernels.first_minor_above(extend_skew(t, sigma), k * k)
+        != 0,
+    )
 
 
 def anchored_switch_sets(n: int):

@@ -407,3 +407,22 @@ def test_xi_check_rejects_wrong_class():
         xi_blowup_check(gen_ln(6), 7)
     with pytest.raises(InvalidArgumentError):
         xi_blowup_check(gen_ln(8), 6)
+
+
+def test_blowups_match_entrywise_definition():
+    # entry (a, b) of a blowup is the base arc between the parts of a
+    # and b, or the part's own arc when both lie in one part
+    rng = random.Random(13)
+    for _ in range(40):
+        m = rng.randint(1, 6)
+        base = oracles.random_tournament(rng, m)
+        parts = [oracles.random_tournament(rng, rng.randint(1, 3)) for _ in range(m)]
+        where = [(i, a) for i, p in enumerate(parts) for a in range(p.n)]
+        want = np.zeros((len(where), len(where)), np.int8)
+        for x, (i, a) in enumerate(where):
+            for y, (j, b) in enumerate(where):
+                want[x, y] = parts[i].skew[a, b] if i == j else base.skew[i, j]
+        assert np.array_equal(blowup(base, parts).skew, want)
+        sizes = [p.n for p in parts]
+        chains = [transitive_tournament(s) for s in sizes]
+        assert transitive_blowup(base, sizes) == blowup(base, chains)

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour."""
 
+import concurrent.futures
 import json
 
 import pytest
@@ -304,3 +305,51 @@ def test_memory_error_is_resource_limit(capsys, monkeypatch, exc, message):
     assert code == 3
     assert out == ""
     assert err == f"resource limit: {message}\n"
+
+
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records the worker count it
+    was asked for and runs every submitted call in this process."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = concurrent.futures.Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.mark.parametrize(
+    "suites, jobs, workers",
+    [
+        ("cr-order3,t6-det25", "100000", [2]),
+        ("cr-order3,t6-det25,l4l6-strongcr", "2", [2]),
+        ("cr-order3", "100000", []),
+        ("cr-order3,t6-det25", "1", []),
+    ],
+)
+def test_verify_jobs_capped_at_suite_count(capsys, monkeypatch, suites, jobs, workers):
+    monkeypatch.setattr(_InlineExecutor, "max_workers", [])
+    monkeypatch.setattr("crtour.cli.ProcessPoolExecutor", _InlineExecutor)
+    code, out, _ = run_cli(capsys, "verify", suites, "--jobs", jobs)
+    assert code == 0
+    assert out.count("pass") == len(suites.split(","))
+    assert _InlineExecutor.max_workers == workers
+
+
+def test_gen_ln_beyond_limit_is_resource_limit(capsys):
+    from crtour.lfamily import LN_LIMIT
+
+    code, out, err = run_cli(capsys, "gen", "ln", str(LN_LIMIT + 1))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit:") and err.count("\n") == 1

@@ -635,3 +635,17 @@ def test_from_bits_rejects_empty_order():
     for n in (0, -2):
         with pytest.raises(InvalidArgumentError):
             Tournament.from_bits(n, 0)
+
+
+def test_relabel_and_extension_match_entrywise_definitions():
+    from crtour import extend
+
+    rng = random.Random(12)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        t = oracles.random_tournament(rng, n)
+        phi = list(range(n))
+        rng.shuffle(phi)
+        assert apply_permutation(t, phi) == oracles.relabel(t, phi)
+        sigma = [rng.choice((1, -1)) for _ in range(n)]
+        assert np.array_equal(extend(t, sigma).skew, oracles.extend_skew(t, sigma))

@@ -411,3 +411,43 @@ def test_cr_report_matches_definition_level_route(classes, n):
 def test_large_ln_are_cr(n):
     rep = is_cr_tournament(gen_ln(n))
     assert rep.ok and rep.k == n - 1 and not rep.trivial
+
+
+def _per_relation_cases():
+    from test_detkit import doubled_paley
+
+    rng = random.Random(8)
+    cases = [(f"L{n}", gen_ln(n)) for n in range(7, 13)]
+    cases.append(("paley11x2", doubled_paley(11)))
+    for i in range(20):
+        n = rng.randint(8, 11)
+        cases.append((f"random{i}-order{n}", oracles.random_tournament(rng, n)))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "t", [t for _, t in _per_relation_cases()],
+    ids=[name for name, _ in _per_relation_cases()],
+)
+def test_cr_report_matches_per_relation_route(t):
+    # orders 8-12 with scans of several chunks: every relation attached
+    # and decided by its own minor scan, every witness by brute force
+    assert _full_report(is_cr_tournament(t)) == oracles.scan_cr_report(t)
+
+
+def test_relation_scan_does_not_depend_on_chunking(classes, monkeypatch):
+    # one norm-sorted row per product, so relations leave the active
+    # set one row at a time and most rows see a shrunken set
+    import crtour.cr as cr_mod
+
+    rng = random.Random(9)
+    ts = [*classes[5], *classes[6][::4], gen_ln(7), gen_ln(8)]
+    ts += [oracles.random_tournament(rng, rng.randint(7, 9)) for _ in range(6)]
+    want = [_full_report(is_cr_tournament(t)) for t in ts]
+    monkeypatch.setattr(cr_mod, "_SCAN_ENTRIES", 1)
+    assert [_full_report(is_cr_tournament(t)) for t in ts] == want
+
+
+def test_l12_is_strong_cr():
+    rep = is_strong_cr(gen_ln(12))
+    assert rep.ok and rep.base.ok and len(rep.blowups) == 12

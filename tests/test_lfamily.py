@@ -3,8 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import numpy as np
+
 from crtour import (
     InvalidArgumentError,
+    ResourceLimitError,
+    Tournament,
     all_sigmas,
     cr_vertex_witness,
     gen_ln,
@@ -25,6 +29,7 @@ from crtour import (
     tournament_det,
     transitive_tournament,
 )
+from crtour.lfamily import LN_LIMIT
 
 
 def test_gen_ln_small_cases():
@@ -196,3 +201,24 @@ def test_ln_plus_one_is_switched_one_blowup():
             if switching_isomorphic(target, b) is not None
         ]
         assert hits
+
+
+def _ln_by_loops(n):
+    arr = np.zeros((n, n), np.int8)
+    for i in range(n - 1):
+        for j in range(i + 1, n - 1):
+            arr[i, j], arr[j, i] = 1, -1
+    for i in range(n - 1):
+        v = 1 if i % 2 == 0 else -1
+        arr[n - 1, i], arr[i, n - 1] = v, -v
+    return Tournament(arr)
+
+
+def test_gen_ln_matches_loop_construction():
+    for n in range(2, 41):
+        assert gen_ln(n) == _ln_by_loops(n)
+
+
+def test_gen_ln_refuses_orders_beyond_limit():
+    with pytest.raises(ResourceLimitError):
+        gen_ln(LN_LIMIT + 1)

@@ -68,3 +68,10 @@ def test_d7_six_tournament_round_trips():
     from crtour import format_trn
 
     assert parse_tournament(format_trn(t)) == t
+
+
+def test_l8_strongcr_orders_follow_max_n():
+    rep = run_suite("l8-strongcr", max_n=12, seed=0)
+    assert rep.passed and rep.params["orders"] == [8, 10, 12]
+    with pytest.raises(ResourceLimitError):
+        run_suite("l8-strongcr", max_n=15)
