@@ -42,6 +42,7 @@ from .cr import (
     cr_associated,
     cr_normalize,
     cr_vertex_witness,
+    cr_witness_table,
     count_cr_sigmas,
     extend,
     is_basic,

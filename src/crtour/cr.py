@@ -108,7 +108,7 @@ class CrWitness:
 
 def _witnesses(t: Tournament, sig: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Witness vertex for every relation row of ``sig`` (-1 when u is
-    non-CR) and its sign (+1 covertex, -1 revertex).
+    non-CR) and its entry of sig @ S^t, n-1 (covertex) or 1-n (revertex).
 
     Entry v of sig @ S^t is sum_x sigma_x s[v, x]; it is +(n-1) exactly
     when u agrees with v on every other vertex (covertices) and -(n-1)
@@ -152,13 +152,21 @@ def _sigmas(n: int) -> np.ndarray:
     return 2 * ((idx >> np.arange(n - 1, -1, -1)) & 1) - 1
 
 
-def count_cr_sigmas(t: Tournament) -> int:
-    """Number of dominating relations whose attached vertex is CR."""
+def cr_witness_table(t: Tournament) -> tuple[np.ndarray, np.ndarray]:
+    """cr_vertex_witness of every dominating relation, in all_sigmas
+    order, as a vertex array (-1 when non-CR) and a sign array (+1
+    covertices, -1 revertices, 0 when non-CR or, at order 1, both)."""
     if t.n > kernels.SCAN_LIMIT:
         raise ResourceLimitError(
             f"sigma scan of order {t.n} exceeds {kernels.SCAN_LIMIT}"
         )
-    return int((_witnesses(t, _sigmas(t.n))[0] >= 0).sum())
+    vertex, agree = _witnesses(t, _sigmas(t.n))
+    return vertex, np.sign(agree) * (vertex >= 0)
+
+
+def count_cr_sigmas(t: Tournament) -> int:
+    """Number of dominating relations whose attached vertex is CR."""
+    return int((cr_witness_table(t)[0] >= 0).sum())
 
 
 def cr_normalize(

@@ -10,7 +10,7 @@ run count t alone decides whether the attachment is a CR vertex.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +21,18 @@ Signature = tuple[int, ...]
 
 # largest order gen_ln builds (a 16 MB int8 matrix)
 LN_LIMIT = 4096
+
+
+def _pm1_sequence(
+    seq: Sequence[int], name: str, length: Optional[int] = None
+) -> tuple[int, ...]:
+    """``seq`` as ints, checked nonempty +-1 (and of ``length``)."""
+    sig = tuple(int(v) for v in seq)
+    if not sig or any(v not in (1, -1) for v in sig):
+        raise InvalidArgumentError(f"{name} must be a nonempty +-1 sequence")
+    if length is not None and len(sig) != length:
+        raise InvalidArgumentError(f"{name} must have length {length}")
+    return sig
 
 
 def gen_ln(n: int) -> Tournament:
@@ -46,9 +58,7 @@ def gen_ln_minus(n: int) -> Tournament:
 
 def sigma_to_signature(sigma: Sequence[int]) -> Signature:
     """Run-length encode a +-1 sequence with signed run lengths."""
-    sig = tuple(int(r) for r in sigma)
-    if not sig or any(r not in (1, -1) for r in sig):
-        raise InvalidArgumentError("sequence must be nonempty over +-1")
+    sig = _pm1_sequence(sigma, "sequence")
     runs = []
     cur = sig[0]
     length = 0
@@ -122,9 +132,7 @@ def ln_extension_is_cr(
         raise InvalidArgumentError("classification needs n >= 3")
     if n % 2 == 1:
         return ln_extension_is_cr_odd(n, sigma, minus=minus)
-    sig = tuple(int(r) for r in sigma)
-    if len(sig) != n or any(r not in (1, -1) for r in sig):
-        raise InvalidArgumentError("sigma must be a +-1 sequence of length n")
+    sig = _pm1_sequence(sigma, "sigma", n)
     t_runs = len(sigma_to_signature(sig[: n - 1]))
     return t_runs in (1, 2, n - 1)
 
@@ -141,9 +149,7 @@ def ln_extension_is_cr_odd(
     """
     if n < 3 or n % 2 == 0:
         raise InvalidArgumentError("odd-order rule needs odd n >= 3")
-    sig = tuple(int(r) for r in sigma)
-    if len(sig) != n or any(r not in (1, -1) for r in sig):
-        raise InvalidArgumentError("sigma must be a +-1 sequence of length n")
+    sig = _pm1_sequence(sigma, "sigma", n)
     runs = sigma_to_signature(sig[: n - 1])
     t_runs = len(runs)
     if t_runs in (2, n - 1):

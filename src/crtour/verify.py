@@ -28,9 +28,10 @@ from .core import (
     transitive_tournament,
 )
 from .cr import (
+    _sigmas,
     all_sigmas,
     cr_associated,
-    cr_vertex_witness,
+    cr_witness_table,
     extend,
     is_basic,
     is_cr_tournament,
@@ -51,11 +52,12 @@ from .detkit import in_dk, in_dk_exactly, max_subtournament_det, tournament_det
 from .errors import InvalidArgumentError, ResourceLimitError
 from .lfamily import gen_ln, gen_ln_minus, ln_extension_is_cr
 from .zmatrix import (
+    _b_diffs,
+    _gamma,
+    _steps,
     assemble_bordered,
-    b_diff_predicted,
     bordered_det,
     delta_total,
-    diagonal_vector,
     ln_deletion_det_check,
     row_sums,
     z_matrix,
@@ -400,12 +402,10 @@ def _noncr_nondecomp(max_n: int, seed: int):
         for _ in range(rng.randint(0, room)):
             sizes[rng.randrange(base.n)] += 1
         hat = transitive_blowup(base, sizes)
-        noncr = [
-            s for s in all_sigmas(hat.n) if cr_vertex_witness(hat, s) is None
-        ]
-        if not noncr:
+        noncr = np.flatnonzero(cr_witness_table(hat)[0] < 0)
+        if not noncr.size:
             continue
-        sig = noncr[rng.randrange(len(noncr))]
+        sig = tuple(_sigmas(hat.n)[noncr[rng.randrange(noncr.size)]].tolist())
         ext = extend(hat, sig)
         checked += 1
         if decompose_transitive_blowup(ext, base) is not None:
@@ -435,7 +435,8 @@ def _cr_order3(max_n: int, seed: int):
     for t in _classes(3):
         checked += 1
         rep = is_cr_tournament(t)
-        noncr = [s for s in all_sigmas(3) if cr_vertex_witness(t, s) is None]
+        vertex = cr_witness_table(t)[0]
+        noncr = [s for s, v in zip(all_sigmas(3), vertex) if v < 0]
         dets = [tournament_det(extend(t, s)) for s in noncr]
         if not rep.ok or len(noncr) != 2 or dets != [9, 9]:
             failures.append(
@@ -471,10 +472,10 @@ def _ln_cr_formula(max_n: int, seed: int):
             continue
         for minus in (False, True):
             t = gen_ln_minus(n) if minus else gen_ln(n)
-            for sig in all_sigmas(n):
+            for sig, v in zip(all_sigmas(n), cr_witness_table(t)[0].tolist()):
                 checked += 1
                 predicted = ln_extension_is_cr(n, sig, minus=minus)
-                actual = cr_vertex_witness(t, sig) is not None
+                actual = v >= 0
                 if predicted != actual:
                     failures.append(
                         _fail(
@@ -580,29 +581,24 @@ def _zmatrix_props(max_n: int, seed: int):
         checked += 1
         z = z_matrix(m, r)
         b = row_sums(z)  # internally cross-checks the Gamma route
-        for ell in range(1, m + 1):
-            g = diagonal_vector(z, ell)
-            for i in range(1, m):
-                if i in (ell - 1, ell):
-                    continue
-                if g.entries[i] - g.entries[i - 1] != g.step:
-                    failures.append({"m": m, "r": r, "ell": ell, "i": i})
-        delta = delta_total(r)
-        steps = sum(diagonal_vector(z, ell).step for ell in range(1, m + 1))
-        if delta != steps:
-            failures.append({"m": m, "r": r, "delta": delta, "steps": steps})
-        for i in range(1, m):
-            if int(b[i]) - int(b[i - 1]) != b_diff_predicted(i, r):
-                failures.append({"m": m, "r": r, "b_diff_at": i})
+        # Gamma_ell's difference at i, exempt at i = ell - 1 and ell
+        ell = np.arange(1, m + 1)[:, None]
+        i = np.arange(1, m)
+        steps = _steps(r)
+        off = np.diff(_gamma(z, ell), axis=1) != steps[:, None]
+        off &= (i != ell - 1) & (i != ell)
+        for e, j in np.argwhere(off).tolist():
+            failures.append({"m": m, "r": r, "ell": e + 1, "i": j + 1})
+        delta, total = delta_total(r), int(steps.sum())
+        if delta != total:
+            failures.append({"m": m, "r": r, "delta": delta, "steps": total})
+        for j in np.flatnonzero(np.diff(b) != _b_diffs(r)).tolist():
+            failures.append({"m": m, "r": r, "b_diff_at": j + 1})
 
-    for m in (3, 5, 7):
-        if m > max_n:
-            continue
+    for m in range(3, min(max_n, 7) + 1, 2):
         for bits in itertools.product((1, -1), repeat=m):
             check_r(m, bits)
-    for m in (9, 11, 13, 15):
-        if m > max_n:
-            continue
+    for m in range(9, max_n + 1, 2):
         for _ in range(1000):
             check_r(m, tuple(rng.choice((1, -1)) for _ in range(m)))
 

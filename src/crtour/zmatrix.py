@@ -7,8 +7,10 @@ The l-diagonal vectors Gamma_l walk the matrix along wrapped
 anti-diagonals; their consecutive differences are constant off two
 exempt positions, which pins down b_{i+1} - b_i in closed form.
 
-This module mirrors the 1-based index conventions of those formulas
-exactly; arrays are stored 0-based internally.
+Both are index arithmetic on the 1-based indices of the formulas
+(arrays are stored 0-based): with k = i + j, z_ij = (-1)^k (m - 2j)
+r_{1 + (k-1) mod m}, negated when k > m, and Gamma_l[i] =
+z_{i, (l-i) mod m}, with 0 at i = l where that column would be 0.
 """
 
 from __future__ import annotations
@@ -22,13 +24,11 @@ from .core import induced
 from .cr import extend
 from .detkit import tournament_det
 from .errors import InvalidArgumentError, TheoremViolationError
-from .lfamily import gen_ln, sigma_to_signature
+from .lfamily import _pm1_sequence, gen_ln, sigma_to_signature
 
 
-def _check_r(r: Sequence[int]) -> tuple[int, ...]:
-    rr = tuple(int(x) for x in r)
-    if not rr or any(x not in (1, -1) for x in rr):
-        raise InvalidArgumentError("r must be a nonempty +-1 sequence")
+def _odd_r(r: Sequence[int]) -> tuple[int, ...]:
+    rr = _pm1_sequence(r, "r")
     if len(rr) % 2 == 0:
         raise InvalidArgumentError("r must have odd length")
     return rr
@@ -66,17 +66,12 @@ def z_matrix(m: int, r: Sequence[int]) -> ZMatrix:
     m = int(m)
     if m < 3 or m % 2 == 0:
         raise InvalidArgumentError("m must be an odd integer >= 3")
-    rr = _check_r(r)
-    if len(rr) != m:
-        raise InvalidArgumentError(f"r must have length {m}")
-    z = np.zeros((m, m - 1), np.int64)
-    for i in range(1, m + 1):
-        for j in range(1, m):
-            sgn = -1 if (i + j) % 2 else 1
-            if i + j <= m:
-                z[i - 1, j - 1] = sgn * (m - 2 * j) * rr[i + j - 1]
-            else:
-                z[i - 1, j - 1] = sgn * (m - 2 * j) * (-rr[i + j - m - 1])
+    rr = _pm1_sequence(r, "r", m)
+    # f[k] = (-1)^k r_k for k <= m and (-1)^k (-r_{k-m}) beyond
+    f = np.array([0, *rr, *(-x for x in rr[:-1])], np.int64)
+    f[1::2] *= -1
+    j = np.arange(1, m)
+    z = f[np.arange(1, m + 1)[:, None] + j] * (m - 2 * j)
     return ZMatrix(m, rr, z)
 
 
@@ -87,31 +82,30 @@ class DiagonalVector:
     step: int  # the constant difference off the two exempt positions
 
 
+def _gamma(z: ZMatrix, ell: int | np.ndarray) -> np.ndarray:
+    """Gamma_ell by one gather (a column of ells gives one row each)."""
+    i = np.arange(1, z.m + 1)
+    col = (ell - i) % z.m  # 1-based column; 0 at i = ell
+    g = z.entries[i - 1, col - 1]
+    g[col == 0] = 0
+    return g
+
+
 def diagonal_vector(z: ZMatrix, ell: int) -> DiagonalVector:
     """Gamma_ell: entry i is z_{i, ell-i} before the zero at i = ell and
     z_{i, m+ell-i} after it (1-based)."""
     ell = int(ell)
     if not 1 <= ell <= z.m:
         raise InvalidArgumentError("ell out of range")
-    vals = []
-    for i in range(1, z.m + 1):
-        if i < ell:
-            vals.append(z.entry(i, ell - i))
-        elif i == ell:
-            vals.append(0)
-        else:
-            vals.append(z.entry(i, z.m + ell - i))
     step = 2 * (1 if ell % 2 == 0 else -1) * z.r[ell - 1]
-    return DiagonalVector(ell, tuple(vals), step)
+    return DiagonalVector(ell, tuple(_gamma(z, ell).tolist()), step)
 
 
 def row_sums(z: ZMatrix) -> np.ndarray:
     """b with b_i the i-th row sum; cross-checked against summing the
     diagonal vectors entrywise."""
     b = z.entries.sum(axis=1)
-    via_gamma = np.zeros(z.m, np.int64)
-    for ell in range(1, z.m + 1):
-        via_gamma += np.array(diagonal_vector(z, ell).entries, np.int64)
+    via_gamma = _gamma(z, np.arange(1, z.m + 1)[:, None]).sum(axis=0)
     if not np.array_equal(b, via_gamma):
         raise TheoremViolationError(
             "row sums disagree with the diagonal-vector route"
@@ -119,14 +113,18 @@ def row_sums(z: ZMatrix) -> np.ndarray:
     return b.astype(np.int64)
 
 
+def _steps(rr: Sequence[int]) -> np.ndarray:
+    """The diagonal steps 2 (-1)^l r_l for l = 1..m."""
+    steps = 2 * np.array(rr, np.int64)
+    steps[::2] *= -1
+    return steps
+
+
 def delta_total(r: Sequence[int]) -> int:
     """Delta = sum of the diagonal steps, computed directly and through
     the odd-run formula; the two must agree."""
-    rr = _check_r(r)
-    m = len(rr)
-    direct = 2 * sum(
-        (1 if i % 2 == 0 else -1) * rr[i - 1] for i in range(1, m + 1)
-    )
+    rr = _odd_r(r)
+    direct = int(_steps(rr).sum())
     runs = sigma_to_signature(rr)
     odd_positions = [
         d for d, a in enumerate(runs, start=1) if abs(a) % 2 == 1
@@ -142,21 +140,22 @@ def delta_total(r: Sequence[int]) -> int:
     return direct
 
 
+def _b_diffs(rr: Sequence[int]) -> np.ndarray:
+    """b_{i+1} - b_i predicted for i = 1..m-1: Delta, minus m times the
+    step 2 (-1)^i r_i where a run ends (r_i != r_{i+1})."""
+    r = np.array(rr, np.int64)
+    steps = _steps(r)
+    return steps.sum() - r.size * steps[:-1] * (r[:-1] != r[1:])
+
+
 def b_diff_predicted(i: int, r: Sequence[int]) -> int:
     """Predicted b_{i+1} - b_i: Delta off run boundaries, Delta +- 2m at
     a boundary depending on the sign of (-1)^i r_i."""
-    rr = _check_r(r)
-    m = len(rr)
+    rr = _odd_r(r)
     i = int(i)
-    if not 1 <= i <= m - 1:
+    if not 1 <= i <= len(rr) - 1:
         raise InvalidArgumentError("index must satisfy 1 <= i <= m-1")
-    runs = sigma_to_signature(rr)
-    boundaries = set(np.cumsum([abs(a) for a in runs[:-1]]).tolist())
-    delta = delta_total(rr)
-    if i not in boundaries:
-        return delta
-    sgn = (1 if i % 2 == 0 else -1) * rr[i - 1]
-    return delta + 2 * m if sgn == -1 else delta - 2 * m
+    return int(_b_diffs(rr)[i - 1])
 
 
 def transitive_inverse(p: int) -> np.ndarray:
@@ -176,20 +175,11 @@ def transitive_inverse(p: int) -> np.ndarray:
     return inv
 
 
-def _check_pm1_vector(x: Sequence[int], name: str) -> np.ndarray:
-    arr = np.array([int(v) for v in x], np.int64)
-    if arr.size == 0 or np.any(np.abs(arr) != 1):
-        raise InvalidArgumentError(f"{name} must be a nonempty +-1 vector")
-    return arr
-
-
 def assemble_bordered(a: int, x: Sequence[int], y: Sequence[int]) -> np.ndarray:
     """The (p+2)-order skew matrix with first rows (0, a, x^t) and
     (-a, 0, y^t) over a transitive core."""
-    xa = _check_pm1_vector(x, "x")
-    ya = _check_pm1_vector(y, "y")
-    if xa.size != ya.size:
-        raise InvalidArgumentError("x and y must have equal length")
+    xa = np.array(_pm1_sequence(x, "x"), np.int64)
+    ya = np.array(_pm1_sequence(y, "y", xa.size), np.int64)
     p = xa.size
     s = np.zeros((p + 2, p + 2), np.int64)
     s[0, 1], s[1, 0] = a, -a
@@ -206,10 +196,8 @@ def bordered_det(a: int, x: Sequence[int], y: Sequence[int]) -> int:
     a = int(a)
     if a not in (1, -1):
         raise InvalidArgumentError("a must be +-1")
-    xa = _check_pm1_vector(x, "x")
-    ya = _check_pm1_vector(y, "y")
-    if xa.size != ya.size:
-        raise InvalidArgumentError("x and y must have equal length")
+    xa = np.array(_pm1_sequence(x, "x"), np.int64)
+    ya = np.array(_pm1_sequence(y, "y", xa.size), np.int64)
     if xa.size % 2 == 1:
         raise InvalidArgumentError("vectors must have even length")
     val = a + int(xa @ transitive_inverse(xa.size) @ ya)
@@ -227,9 +215,7 @@ def ln_deletion_det_check(n: int, sigma: Sequence[int]) -> bool:
     n = int(n)
     if n < 4 or n % 2 == 1:
         raise InvalidArgumentError("the identity is stated for even n >= 4")
-    sig = tuple(int(v) for v in sigma)
-    if len(sig) != n or any(v not in (1, -1) for v in sig):
-        raise InvalidArgumentError("sigma must be a +-1 sequence of length n")
+    sig = _pm1_sequence(sigma, "sigma", n)
     ext = extend(gen_ln(n), sig)
     b = row_sums(z_matrix(n - 1, sig[: n - 1]))
     a = -sig[n - 1]

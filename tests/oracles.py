@@ -231,3 +231,51 @@ def has_diamond(t: Tournament) -> bool:
 def random_tournament(rng, n: int) -> Tournament:
     m = n * (n - 1) // 2
     return Tournament.from_bits(n, rng.getrandbits(m) if m else 0)
+
+
+def z_entries(m: int, r) -> np.ndarray:
+    """Z(m, r) entry by entry, 1-based: z_ij = (-1)^(i+j) (m - 2j) r_(i+j)
+    while i + j <= m, and (-1)^(i+j) (m - 2j) (-r_(i+j-m)) beyond."""
+    z = np.zeros((m, m - 1), np.int64)
+    for i in range(1, m + 1):
+        for j in range(1, m):
+            sgn = -1 if (i + j) % 2 else 1
+            if i + j <= m:
+                z[i - 1, j - 1] = sgn * (m - 2 * j) * r[i + j - 1]
+            else:
+                z[i - 1, j - 1] = sgn * (m - 2 * j) * -r[i + j - m - 1]
+    return z
+
+
+def gamma_entries(z: np.ndarray, ell: int) -> tuple[int, ...]:
+    """Gamma_ell of the entries z (shape m x (m-1)), 1-based: z_(i, ell-i)
+    before the zero at i = ell and z_(i, m+ell-i) after it."""
+    m = z.shape[0]
+    vals = []
+    for i in range(1, m + 1):
+        if i < ell:
+            vals.append(int(z[i - 1, ell - i - 1]))
+        elif i == ell:
+            vals.append(0)
+        else:
+            vals.append(int(z[i - 1, m + ell - i - 1]))
+    return tuple(vals)
+
+
+def b_diffs_by_runs(r) -> list[int]:
+    """b_(i+1) - b_i for i = 1..m-1 from the run signature: Delta off the
+    run boundaries (the partial sums of the run lengths), and at a
+    boundary Delta + 2m when (-1)^i r_i = -1, Delta - 2m when it is +1."""
+    m = len(r)
+    delta = 2 * sum((-1) ** i * r[i - 1] for i in range(1, m + 1))
+    lengths = [len(list(run)) for _, run in itertools.groupby(r)]
+    boundaries = set(itertools.accumulate(lengths[:-1]))
+    out = []
+    for i in range(1, m):
+        if i not in boundaries:
+            out.append(delta)
+        elif (-1) ** i * r[i - 1] == -1:
+            out.append(delta + 2 * m)
+        else:
+            out.append(delta - 2 * m)
+    return out

@@ -1,9 +1,11 @@
 """The benchmark in ``perfbench/`` looks crtour up by name: every span
-in ``tracer.TRACED`` and every ``Job.api`` of its workloads must
-resolve, or a benchmark run fails where tier-1 passed."""
+in ``tracer.TRACED``, every ``Job.api`` of its workloads and every
+attribute ``run.py`` reads off the package must resolve, or a
+benchmark run fails where tier-1 passed."""
 
 import importlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -30,6 +32,20 @@ def test_traced_names_resolve(perfbench):
     for mod, names in tracer.TRACED.items():
         for name in names:
             assert callable(_resolve(mod, name)), f"{mod}.{name}"
+
+
+def test_run_attributes_resolve():
+    # such as ct.kernels.BACKEND, stamped into every record
+    import crtour
+
+    source = (PERFBENCH / "run.py").read_text()
+    chains = set(re.findall(r"\bct\.(\w+(?:\.\w+)*)", source))
+    assert chains
+    for chain in sorted(chains):
+        obj = crtour
+        for name in chain.split("."):
+            assert hasattr(obj, name), f"crtour.{chain}"
+            obj = getattr(obj, name)
 
 
 def test_workload_apis_resolve(perfbench):

@@ -14,6 +14,7 @@ from crtour import (
     cr_associated,
     cr_normalize,
     cr_vertex_witness,
+    cr_witness_table,
     extend,
     gen_ln,
     in_dk_exactly,
@@ -380,6 +381,9 @@ def test_one_transitive_blowup_orientation_irrelevant():
         assert is_isomorphic(b, flipped) is not None
 
 
+_KINDS = {1: "covertices", -1: "revertices"}
+
+
 def _full_report(rep):
     return rep.ok, rep.k, rep.trivial, rep.failures, rep.witness_map
 
@@ -399,6 +403,11 @@ def test_cr_report_matches_definition_level_route(classes, n):
         ]
         assert count_cr_sigmas(t) == sum(w is not None for w in witnesses)
         if n >= 2:
+            vertex, sign = cr_witness_table(t)
+            assert [
+                None if v < 0 else {"vertex": v + 1, "kind": _KINDS[s]}
+                for v, s in zip(vertex.tolist(), sign.tolist())
+            ] == witnesses
             for sigma, want in zip(all_sigmas(n), witnesses):
                 got = cr_vertex_witness(t, sigma)
                 if got is not None:

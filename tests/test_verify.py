@@ -70,6 +70,14 @@ def test_d7_six_tournament_round_trips():
     assert parse_tournament(format_trn(t)) == t
 
 
+def test_zmatrix_props_orders_follow_max_n():
+    # odd m from 9 to max_n are sampled, 1000 sequences each
+    at15 = run_suite("zmatrix-props", max_n=15, seed=0)
+    at17 = run_suite("zmatrix-props", max_n=17, seed=0)
+    assert at15.passed and at17.passed
+    assert at17.checked == at15.checked + 1000
+
+
 def test_l8_strongcr_orders_follow_max_n():
     rep = run_suite("l8-strongcr", max_n=12, seed=0)
     assert rep.passed and rep.params["orders"] == [8, 10, 12]

@@ -167,6 +167,30 @@ def test_diagonal_steps_constant_off_exempt():
                     assert g.entries[i] - g.entries[i - 1] == want
 
 
+def _oracle_sequences(m):
+    if m <= 7:
+        return itertools.product((1, -1), repeat=m)
+    rng = random.Random(m)
+    return [tuple(rng.choice((1, -1)) for _ in range(m)) for _ in range(200)]
+
+
+@pytest.mark.parametrize("m", range(3, 22, 2))
+def test_z_layer_matches_entrywise_oracles(m):
+    # every r up to m = 7, 200 seeded r beyond
+    for r in _oracle_sequences(m):
+        z = z_matrix(m, r)
+        want = oracles.z_entries(m, r)
+        assert np.array_equal(z.entries, want)
+        for ell in range(1, m + 1):
+            g = diagonal_vector(z, ell)
+            assert g.entries == oracles.gamma_entries(want, ell)
+        b = row_sums(z)
+        assert np.array_equal(b, want.sum(axis=1))
+        diffs = oracles.b_diffs_by_runs(r)
+        assert np.diff(b).tolist() == diffs
+        assert [b_diff_predicted(i, r) for i in range(1, m)] == diffs
+
+
 # --- transitive inverse and bordered determinants ---------------------------
 
 
