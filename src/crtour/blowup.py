@@ -25,6 +25,7 @@ import numpy as np
 from . import kernels
 from .core import (
     Tournament,
+    _anchored_switch_sets,
     _dominant_switch_set,
     format_trn,
     induced,
@@ -33,7 +34,7 @@ from .core import (
     switch,
     switching_isomorphic,
 )
-from .cr import COVERTICES, _witnesses, cr_associated, is_basic
+from .cr import _witnesses, is_basic
 from .detkit import max_subtournament_det, tournament_det
 from .errors import InvalidArgumentError, ResourceLimitError
 from .lfamily import gen_ln
@@ -189,7 +190,7 @@ def as_transitive_blowup_of(
     n, m = t.n, h.n
     if n < m:
         return None
-    # union-find over covertex pairs
+    # union-find over covertex pairs, (S S^t)[u, v] = n - 2 for u < v
     parent = list(range(n))
 
     def find(a: int) -> int:
@@ -198,10 +199,9 @@ def as_transitive_blowup_of(
             a = parent[a]
         return a
 
-    for u in range(n):
-        for v in range(u + 1, n):
-            if cr_associated(t, u, v) == COVERTICES:
-                parent[find(u)] = find(v)
+    s = t.skew.astype(np.int64)
+    for u, v in zip(*np.nonzero(np.triu(s @ s.T == n - 2, 1))):
+        parent[find(int(u))] = find(int(v))
     groups: dict[int, list[int]] = {}
     for v in range(n):
         groups.setdefault(find(v), []).append(v)
@@ -235,8 +235,7 @@ def decompose_brute_force(
         raise InvalidArgumentError("decomposition needs a basic base")
     if t.n > 7:
         raise ResourceLimitError("brute-force decomposition is capped at order 7")
-    for mask in range(1 << max(t.n - 1, 0)):
-        w = frozenset(v + 1 for v in range(t.n - 1) if (mask >> v) & 1)
+    for w in _anchored_switch_sets(t.n):
         rec = as_transitive_blowup_of(switch(t, w), h)
         if rec is not None:
             # rec certifies switch(t, w) itself, which is what W = w

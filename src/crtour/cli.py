@@ -16,6 +16,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
+from . import kernels
 from .core import (
     Tournament,
     enumerate_tournaments,
@@ -45,9 +46,6 @@ from .verify import available_suites, run_suite
 from .zmatrix import diagonal_vector, delta_total, row_sums, z_matrix
 
 SCHEMA = "crtour/1"
-
-# computing the CR flag scans 2^n relations; keep analyze snappy
-ANALYZE_CR_LIMIT = 10
 
 
 def _read_tournament(path: str) -> Tournament:
@@ -97,10 +95,10 @@ def _cmd_analyze(args) -> int:
         "basic": is_basic(t),
         "trivial_cr": is_trivial_cr(t),
     }
-    if t.n <= ANALYZE_CR_LIMIT:
-        out["cr"] = is_cr_tournament(t).ok
-    else:
-        out["cr"] = None
+    # the CR scan builds tables of the order-(n+1) extensions
+    out["cr"] = (
+        is_cr_tournament(t).ok if t.n + 1 <= kernels.SCAN_LIMIT else None
+    )
     if args.json:
         print(json.dumps(out))
         return 0
@@ -115,7 +113,7 @@ def _cmd_analyze(args) -> int:
     print(f"basic: {'yes' if out['basic'] else 'no'}")
     print(f"trivial CR: {'yes' if out['trivial_cr'] else 'no'}")
     if out["cr"] is None:
-        print(f"CR tournament: skipped (order > {ANALYZE_CR_LIMIT})")
+        print(f"CR tournament: skipped (order > {kernels.SCAN_LIMIT - 1})")
     else:
         print(f"CR tournament: {'yes' if out['cr'] else 'no'}")
     return 0
@@ -301,42 +299,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def add_common(p, emits=False):
+    def add_json(p):
         p.add_argument("--json", action="store_true", help="machine output")
-        if emits:
-            p.add_argument(
-                "--skew", action="store_true", help="emit skew-matrix form"
-            )
+
+    def add_skew(p):
+        p.add_argument("--skew", action="store_true", help="emit skew-matrix form")
 
     p = sub.add_parser("analyze", help="determinant, minor scan and flags")
     p.add_argument("file")
-    add_common(p)
+    add_json(p)
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("gen", help="generate a named tournament")
     p.add_argument("family", choices=["ln"])
     p.add_argument("n", type=int)
     p.add_argument("--minus", action="store_true")
-    add_common(p, emits=True)
+    add_skew(p)
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("switch", help="switch with respect to a vertex set")
     p.add_argument("file")
     p.add_argument("--w", required=True, help="1-based labels, e.g. 1,3,5")
-    add_common(p, emits=True)
+    add_skew(p)
     p.set_defaults(fn=_cmd_switch)
 
     p = sub.add_parser("blowup", help="blow up a base tournament")
     p.add_argument("base", help="file, '-', or ln:K / ln-:K")
     p.add_argument("--sizes", help="transitive part sizes, e.g. 2,1,1,1")
     p.add_argument("--parts", help="comma-separated part files")
-    add_common(p, emits=True)
+    add_skew(p)
     p.set_defaults(fn=_cmd_blowup)
 
     p = sub.add_parser("extend", help="attach a new vertex by a relation")
     p.add_argument("file")
     p.add_argument("--sigma", required=True, help="'+-+-' or run form '2,-2'")
-    add_common(p, emits=True)
+    add_skew(p)
     p.set_defaults(fn=_cmd_extend)
 
     p = sub.add_parser("check", help="basic / CR / strong-CR predicates")
@@ -344,13 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basic", action="store_true")
     p.add_argument("--cr", action="store_true")
     p.add_argument("--strong-cr", dest="strong_cr", action="store_true")
-    add_common(p)
+    add_json(p)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("decompose", help="switched transitive-blowup decomposition")
     p.add_argument("file")
     p.add_argument("--base", required=True, help="file, ln:K or ln-:K")
-    add_common(p)
+    add_json(p)
     p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser("verify", help="run claim-verification suites")
@@ -360,14 +357,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs", type=int, default=1, help="parallel suites (one worker per suite at most)"
     )
-    add_common(p)
+    add_json(p)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("enumerate", help="stream tournaments of an order")
     p.add_argument("n", type=int)
     p.add_argument("--classes", action="store_true", help="one per isomorphism class")
     p.add_argument("--count", action="store_true", help="print only the count")
-    add_common(p, emits=True)
+    add_json(p)
+    add_skew(p)
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("zmat", help="Z-matrix, diagonals, row sums")
@@ -375,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", required=True, help="+-sequence of length m")
     p.add_argument("--diagonals", action="store_true")
     p.add_argument("--csv", action="store_true")
-    add_common(p)
+    add_json(p)
     p.set_defaults(fn=_cmd_zmat)
 
     return ap

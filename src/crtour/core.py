@@ -256,6 +256,13 @@ def switching_equivalent(
     return w if switch(t1, w) == t2 else None
 
 
+def _anchored_switch_sets(n: int) -> Iterator[frozenset[int]]:
+    """The switch sets of order n avoiding vertex 0, in bitmask order:
+    one per switch, as w and its complement act alike."""
+    for mask in range(1 << max(n - 1, 0)):
+        yield frozenset(v + 1 for v in range(n - 1) if (mask >> v) & 1)
+
+
 def _dominant_switch_set(t: Tournament, v: int) -> frozenset[int]:
     # switching by the set of in-neighbours makes v dominate everything
     return frozenset(x for x in range(t.n) if t.skew[x, v] > 0)
@@ -371,14 +378,12 @@ def parse_tournament(text: str) -> Tournament:
         raise InvalidArgumentError(f"cannot parse header {lines[0]!r}")
     if len(first) == 1:
         n = int(first[0])
-        if n == 0 and len(lines) == 1:
-            # the skew-matrix form of the single-vertex tournament
+        if n in (0, 1) and len(lines) == 1:
+            # "1" in .trn form, "0" in skew-matrix form: one vertex
             return Tournament(np.zeros((1, 1), np.int8))
         if n < 1:
             raise InvalidArgumentError("order must be positive")
         m = n * (n - 1) // 2
-        if n == 1:
-            return Tournament(np.zeros((1, 1), np.int8))
         if len(lines) < 2:
             raise InvalidArgumentError(".trn input is missing the bit line")
         bits = "".join(lines[1:])

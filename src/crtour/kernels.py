@@ -158,6 +158,12 @@ def pfaffian_table(s) -> np.ndarray:
     return _fill(arr, *_attach_index(max(arr.shape[0] - 1, 0)))
 
 
+def _subset_dets(s) -> tuple[np.ndarray, np.ndarray]:
+    """det = Pf^2 and size of every vertex subset, indexed by bitmask."""
+    pf = pfaffian_table(s)
+    return pf * pf, np.bitwise_count(np.arange(pf.size))
+
+
 def attach_table(s) -> tuple[np.ndarray, np.ndarray]:
     """The Pfaffian table ``pf`` of a skew matrix of order n and the
     (2^n, n) matrix C with Pf(X + u) = sum_j C[X, j] s[j, u] for a
@@ -205,9 +211,8 @@ def first_minor_above(s, bound: int) -> int:
 
     Returns the subset as a bitmask, or 0 when none exists.
     """
-    pf = pfaffian_table(s)
-    size = np.bitwise_count(np.arange(pf.size))
-    masks = np.flatnonzero((pf * pf > bound) & (size > 0) & (size % 2 == 0))
+    dets, size = _subset_dets(s)
+    masks = np.flatnonzero((dets > bound) & (size > 0) & (size % 2 == 0))
     if masks.size == 0:
         return 0
     return _lex_first(masks[size[masks] == size[masks].min()])

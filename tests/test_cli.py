@@ -252,12 +252,30 @@ def test_suite_that_checks_nothing_is_usage_error(capsys):
     for argv in (
         ("verify", "d1-diamond", "--max-n", "0"),
         ("verify", "ln-cr-formula", "--max-n", "3"),
+        ("verify", "d3-six-subs", "--max-n", "7"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert "pass" not in out
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "checks nothing" in err
+
+
+@pytest.mark.parametrize(
+    "suite, max_n",
+    [
+        ("l8-strongcr", "3"),
+        ("t6-det25", "2"),
+        ("cr-order3", "1"),
+        ("d5-blowup", "3"),
+        ("xi-decomp", "3"),
+    ],
+)
+def test_suite_checks_no_order_above_max_n(capsys, suite, max_n):
+    code, out, err = run_cli(capsys, "verify", suite, "--max-n", max_n)
+    assert code == 2
+    assert out == ""
+    assert "checks nothing" in err
 
 
 def test_small_max_n_is_usage_error(capsys):
@@ -353,3 +371,35 @@ def test_gen_ln_beyond_limit_is_resource_limit(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("resource limit:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n, cr", [(12, True), (16, None)])
+def test_analyze_decides_cr_up_to_the_scan_limit(capsys, tmp_path, n, cr):
+    f = tmp_path / "t.trn"
+    f.write_text(format_trn(gen_ln(n)))
+    code, out, _ = run_cli(capsys, "analyze", str(f), "--json")
+    assert code == 0
+    assert json.loads(out)["cr"] is cr
+    code, out, _ = run_cli(capsys, "analyze", str(f))
+    assert code == 0
+    line = "CR tournament: yes" if cr else "CR tournament: skipped (order > 15)"
+    assert line in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "ln", "4"),
+        ("switch", "-", "--w", "1"),
+        ("blowup", "ln:4", "--sizes", "2,1,1,1"),
+        ("extend", "-", "--sigma", "++++"),
+    ],
+)
+def test_emitting_verbs_take_no_json_flag(capsys, monkeypatch, argv):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(format_trn(gen_ln(4))))
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err

@@ -508,9 +508,14 @@ def test_l4_trn_text():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "3\n01", "x\nyz", "-2\n", "1 2\n3 4 5"):
+    for bad in ("", "3\n01", "x\nyz", "-2\n", "1 2\n3 4 5", "1\n0101"):
         with pytest.raises(InvalidArgumentError):
             parse_tournament(bad)
+
+
+def test_parse_single_vertex_forms():
+    for text in ("1", "1\n", "0"):
+        assert parse_tournament(text) == transitive_tournament(1)
 
 
 def test_parse_skew_rejects_asymmetric():

@@ -5,7 +5,9 @@ import pytest
 from crtour import (
     InvalidArgumentError,
     ResourceLimitError,
+    Tournament,
     parse_tournament,
+    switch,
     tournament_det,
 )
 from crtour.verify import available_suites, d7_six_tournament, run_suite
@@ -13,7 +15,7 @@ from crtour.verify import available_suites, d7_six_tournament, run_suite
 FAST_PARAMS = {
     # trimmed sizes so the whole registry runs quickly in CI
     "d1-diamond": dict(max_n=5),
-    "d3-six-subs": dict(max_n=7),
+    "d3-six-subs": dict(max_n=8),
     "d5-blowup": dict(max_n=8),
     "det-sw-invariance": dict(max_n=6),
     "cr-assoc-sw": dict(max_n=5),
@@ -83,3 +85,37 @@ def test_l8_strongcr_orders_follow_max_n():
     assert rep.passed and rep.params["orders"] == [8, 10, 12]
     with pytest.raises(ResourceLimitError):
         run_suite("l8-strongcr", max_n=15)
+
+
+def _switch_and_flip(t, w):
+    # one arc more than the switch: some subset determinant changes
+    arr = switch(t, w).skew.copy()
+    arr[0, 1], arr[1, 0] = arr[1, 0], arr[0, 1]
+    return Tournament(arr)
+
+
+@pytest.mark.parametrize(
+    "name, route, fake",
+    [
+        ("d1-diamond", "in_dk", lambda t, k: True),
+        ("d3-six-subs", "in_dk", lambda t, k: True),
+        ("det-sw-invariance", "switch", _switch_and_flip),
+    ],
+)
+def test_suite_reports_a_broken_route(monkeypatch, name, route, fake):
+    monkeypatch.setattr(f"crtour.verify.{route}", fake)
+    rep = run_suite(name, seed=0, **FAST_PARAMS[name])
+    assert not rep.passed
+    if name == "d1-diamond":
+        # the table side sees the diamonds that in_dk was made to miss
+        assert any(f["diamond_free"] is False for f in rep.failures)
+    if name == "d3-six-subs":
+        assert {(f["in_d3"], f["six_subs"]) for f in rep.failures} == {(True, False)}
+
+
+def test_d3_six_subs_orders():
+    rep = run_suite("d3-six-subs", seed=0)
+    # both sides of the law are exercised at the default orders 8..10
+    assert rep.passed and 0 < rep.params["in_d3"] < rep.checked
+    with pytest.raises(ResourceLimitError):
+        run_suite("d3-six-subs", max_n=17)
