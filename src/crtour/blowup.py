@@ -262,8 +262,14 @@ def decompose_transitive_blowup(
     if not is_basic(h):
         raise InvalidArgumentError("decomposition needs a basic base")
     found = _first_switching_copy(t, h)
-    if found is None:
-        return None
+    return None if found is None else _decompose_from_copy(t, h, found)
+
+
+def _decompose_from_copy(
+    t: Tournament, h: Tournament, found
+) -> Optional[Decomposition]:
+    """The decomposition of ``decompose_transitive_blowup`` built from
+    a copy of h found by ``_first_switching_copy``."""
     sub, (w_loc, phi) = found
     x = list(sub)
     w_x = frozenset(x[i] for i in w_loc)
@@ -377,6 +383,9 @@ def xi_blowup_check(t: Tournament, k: int) -> tuple[bool, bool]:
             f"tournament is not in D_{k} \\ D_{k - 2}"
         )
     h = gen_ln(k + 1)
-    lhs = decompose_transitive_blowup(t, h) is not None
-    rhs = contains_switching_isomorphic(t, h) is not None
-    return lhs, rhs
+    # one copy search serves both sides: rhs is "a copy exists", lhs a
+    # certified decomposition built from that copy
+    found = _first_switching_copy(t, h)
+    if found is None:
+        return False, False
+    return _decompose_from_copy(t, h, found) is not None, True

@@ -145,11 +145,51 @@ def cr_vertex_witness(
 _SCAN_ENTRIES = 1 << 15
 
 
-def _sigmas(n: int) -> np.ndarray:
-    """All 2^n dominating relations as one +-1 int64 matrix, one row
-    per relation in all_sigmas order."""
+def _build_relations(n: int) -> tuple[np.ndarray, np.ndarray]:
     idx = np.arange(1 << n)[:, None]
-    return 2 * ((idx >> np.arange(n - 1, -1, -1)) & 1) - 1
+    sig = 2 * ((idx >> np.arange(n - 1, -1, -1)) & 1) - 1
+    text = np.where(sig > 0, ord("+"), ord("-")).astype(np.uint8)
+    sig.flags.writeable = text.flags.writeable = False
+    return sig, text
+
+
+# relation rows and their +- text for the largest order asked for so
+# far; order n reads the last n columns of the first 2^n rows
+_RELATIONS = _build_relations(0)
+
+
+def _relations(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All 2^n dominating relations in all_sigmas order, as read-only
+    +-1 int64 rows and as their +- text (uint8 rows)."""
+    global _RELATIONS
+    top = _RELATIONS[0].shape[1]
+    if n > top:
+        _RELATIONS = _build_relations(n)
+        top = n
+    sig, text = _RELATIONS
+    return sig[: 1 << n, top - n :], text[: 1 << n, top - n :]
+
+
+def _cr_relations(s: np.ndarray) -> dict[int, tuple[int, int]]:
+    """The CR relations of the tournament with skew matrix s, by number
+    in all_sigmas order, each with its lowest witness vertex v and eps.
+
+    u is CR-associated with v exactly when sigma_x = eps s[v, x] for
+    every x != v, eps = +1 for covertices and -1 for revertices, and
+    sigma_v is free.  So the CR relations are +-(row v of S) with either
+    sign at v: at most 4n of them, numbered straight from the rows.
+    """
+    n = s.shape[0]
+    every = (1 << n) - 1
+    weight = 1 << np.arange(n - 1, -1, -1)  # r_i is bit n-1-i of the number
+    first: dict[int, tuple[int, int]] = {}
+    for v, row in enumerate(((s > 0) @ weight).tolist()):
+        free = 1 << (n - 1 - v)
+        other = every ^ free ^ row
+        for num, eps in ((row, 1), (other, -1)):
+            first.setdefault(num, (v, eps))
+            first.setdefault(num | free, (v, eps))
+    return first
 
 
 def cr_witness_table(t: Tournament) -> tuple[np.ndarray, np.ndarray]:
@@ -160,8 +200,14 @@ def cr_witness_table(t: Tournament) -> tuple[np.ndarray, np.ndarray]:
         raise ResourceLimitError(
             f"sigma scan of order {t.n} exceeds {kernels.SCAN_LIMIT}"
         )
-    vertex, agree = _witnesses(t, _sigmas(t.n))
-    return vertex, np.sign(agree) * (vertex >= 0)
+    first = _cr_relations(t.skew)
+    vertex = np.full(1 << t.n, -1, np.int64)
+    sign = np.zeros(1 << t.n, np.int64)
+    num = np.fromiter(first, np.int64, len(first))
+    vertex[num], sign[num] = np.array(list(first.values())).T
+    if t.n == 1:
+        sign[:] = 0  # the single vertex is both kinds at once
+    return vertex, sign
 
 
 def count_cr_sigmas(t: Tournament) -> int:
@@ -194,9 +240,9 @@ def is_trivial_cr(t: Tournament) -> bool:
 class CrReport:
     """Result of the CR-tournament check.
 
-    ``failures`` lists sigma strings violating the defining condition
-    (a non-CR extension that stays inside D_k, or a CR extension that
-    leaves D_k \\ D_{k-2}); empty means t is a CR tournament.
+    ``failures`` lists sigma strings violating the defining condition:
+    non-CR extensions that stay inside D_k (a CR extension always stays
+    in D_k \\ D_{k-2}); empty means t is a CR tournament.
     ``witness_map`` records the witness vertex (1-based) and kind for
     every CR sigma.
     """
@@ -220,70 +266,79 @@ class CrReport:
         }
 
 
+def _cr_report(s: np.ndarray, pf: np.ndarray, coef: np.ndarray) -> CrReport:
+    """The CR report of the tournament with skew matrix s, from its
+    ``kernels.attach_table`` (pf, coef); see ``is_cr_tournament``."""
+    n = s.shape[0]
+    k = _k_of(int((pf * pf).max()))
+    if n <= 2 or (n == 4 and pf[-1] ** 2 == 9):  # order <= 2 or a diamond
+        return CrReport(True, k, True)
+    first = _cr_relations(s)
+    inside = np.zeros(1 << n, bool)  # relations whose extension stays in D_k
+    inside[np.fromiter(first, np.int64, len(first))] = True
+    norm = np.abs(coef).sum(axis=1)
+    keep = np.flatnonzero(norm > k)  # |C[X] sigma| <= norm[X] for all sigma
+    coef = coef[keep[np.argsort(-norm[keep])]]
+    half = 1 << (n - 1)
+    active = np.flatnonzero(~inside[half:]) + half  # non-CR, r_1 = +1
+    sig, chars = _relations(n)
+    rel = sig[active].T
+    start = 0
+    while active.size and start < coef.shape[0]:
+        stop = start + max(1, _SCAN_ENTRIES // active.size)
+        pfs = coef[start:stop] @ rel
+        keep = (np.abs(pfs, out=pfs) <= k).all(axis=0)
+        active, rel = active[keep], rel[:, keep]
+        start = stop
+    # Pf(X + u) is odd in sigma, so -sigma (number 2^n - 1 - i) stays
+    # inside D_k with sigma; CR relations always do
+    inside[active] = True
+    inside[(2 * half - 1) - active] = True
+    listed = np.flatnonzero(inside)
+    text = chars[listed].tobytes().decode("ascii")
+    failures = []
+    witness_map = {}
+    for i, num in enumerate(listed.tolist()):
+        key = text[i * n : (i + 1) * n]
+        wit = first.get(num)
+        if wit is None:
+            failures.append(key)
+        else:
+            witness_map[key] = {"vertex": wit[0] + 1, "kind": _kind(wit[1])}
+    return CrReport(not failures, k, False, tuple(failures), witness_map)
+
+
 def is_cr_tournament(t: Tournament) -> CrReport:
     """Decide whether t is a CR tournament, with a full report.
 
     k is fixed by the Pfaffian table of t (t lies in D_k \\ D_{k-2}).
-    Trivial CR tournaments short-circuit.  Otherwise every dominating
-    relation is scanned: non-CR extensions must leave D_k, and CR
-    extensions must stay in D_k \\ D_{k-2} (cross-check).  Because t
-    itself is in D_k, any subset of the extension violating the bound
-    is X + u for an odd subset X of t, and Pf(X + u) = -C[X] @ sigma
-    with C from ``kernels.attach_table``; so sigma violates exactly
-    when |C[X] sigma| > k for some X.
+    Trivial CR tournaments short-circuit.  Otherwise non-CR extensions
+    must leave D_k.  CR extensions never need a scan: each is a
+    1-transitive blowup of t, after switching {u} for a revertex, and a
+    blowup's Pfaffian table is a relabelling of t's
+    (``kernels._doubled_attach_table``), so it stays in D_k \\ D_{k-2}.
+    Because t itself is in D_k, any subset of the extension violating
+    the bound is X + u for an odd subset X of t, and
+    Pf(X + u) = -C[X] @ sigma with C from ``kernels.attach_table``; so
+    sigma violates exactly when |C[X] sigma| > k for some X.  That is
+    odd in sigma, so only the non-CR relations with r_1 = +1 are
+    scanned and each answer holds for -sigma too.
 
     Only rows that can violate are scanned: |C[X] sigma| <= ||C[X]||_1,
-    so rows of L1 norm at most k (every even X among them) are dropped.
-    The rest go largest norm first, in chunks of at most _SCAN_ENTRIES
-    int64 products, against the *active* relations: those no earlier
-    row has shown to violate.  A relation leaves the active set only on
-    a violation, so the relations still active after the last row are
-    exactly the non-violating ones.  On a CR tournament almost every
-    non-CR relation leaves on the first chunk.  Witnesses come from one
-    product of the relation matrix with S^t.
+    so rows of L1 norm at most k are dropped.  The rest go largest norm
+    first, in chunks of at most _SCAN_ENTRIES int64 products, against
+    the *active* relations: those no earlier row has shown to violate.
+    A relation leaves the active set only on a violation, so the
+    relations still active after the last row are exactly the
+    non-violating ones.  On a CR tournament almost every relation
+    leaves on the first chunk.  Witnesses are read off the rows of S
+    (``cr_witness_table``).
     """
     if t.n + 1 > kernels.SCAN_LIMIT:
         raise ResourceLimitError(
             f"extension scans of order {t.n + 1} exceed {kernels.SCAN_LIMIT}"
         )
-    pf, coef = kernels.attach_table(t.skew)
-    k = _k_of(int((pf * pf).max()))
-    if is_trivial_cr(t):
-        return CrReport(True, k, True)
-    norm = np.abs(coef).sum(axis=1)
-    keep = np.flatnonzero(norm > k)  # |C[X] sigma| <= norm[X] for all sigma
-    coef = coef[keep[np.argsort(-norm[keep])]]
-    sig = _sigmas(t.n)
-    active = np.arange(sig.shape[0])  # relations not yet seen to violate
-    start = 0
-    while active.size and start < coef.shape[0]:
-        stop = start + max(1, _SCAN_ENTRIES // active.size)
-        pfs = coef[start:stop] @ sig[active].T
-        active = active[(np.abs(pfs, out=pfs) <= k).all(axis=0)]
-        start = stop
-    violates = np.ones(sig.shape[0], bool)
-    violates[active] = False
-    vertex, sign = _witnesses(t, sig)
-    cr = vertex >= 0
-    listed = np.flatnonzero(cr | ~violates)
-    chars = np.where(sig > 0, ord("+"), ord("-")).astype(np.uint8)
-    text = chars.tobytes().decode("ascii")
-    n = t.n
-    failures = []
-    witness_map = {}
-    for i, is_cr, bad, v, sg in zip(
-        listed.tolist(),
-        cr[listed].tolist(),
-        violates[listed].tolist(),
-        vertex[listed].tolist(),
-        sign[listed].tolist(),
-    ):
-        key = text[i * n : (i + 1) * n]
-        if is_cr:
-            witness_map[key] = {"vertex": v + 1, "kind": _kind(sg)}
-        if is_cr == bad:
-            failures.append(key)
-    return CrReport(not failures, k, False, tuple(failures), witness_map)
+    return _cr_report(t.skew, *kernels.attach_table(t.skew))
 
 
 def is_basic(t: Tournament) -> bool:
@@ -322,18 +377,27 @@ def is_strong_cr(t: Tournament) -> StrongCrReport:
     Checks one blowup per duplicated vertex (the two internal
     orientations of the doubled pair give isomorphic results).  When
     all blowups pass, t itself must be CR; that implication is checked
-    too and reported as the base result.
+    too and reported as the base result.  One Pfaffian table, t's, is
+    filled; each blowup's table and attach coefficients are gathers of
+    it (``kernels._doubled_attach_table``).
     """
-    from .blowup import one_transitive_blowups
-
+    n = t.n
+    if n + 2 > kernels.SCAN_LIMIT:
+        raise ResourceLimitError(
+            f"extension scans of order {n + 2} exceed {kernels.SCAN_LIMIT}"
+        )
+    s = t.skew
+    pf, coef = kernels.attach_table(s)
     reports = []
-    ok = True
-    for v, b in enumerate(one_transitive_blowups(t)):
-        rep = is_cr_tournament(b)
-        reports.append((v, rep))
-        if not rep.ok:
-            ok = False
-    base = is_cr_tournament(t)
+    for v in range(n):
+        owner = np.insert(np.arange(n), v, v)
+        doubled = s[np.ix_(owner, owner)]
+        doubled[v, v + 1], doubled[v + 1, v] = 1, -1
+        reports.append(
+            (v, _cr_report(doubled, *kernels._doubled_attach_table(pf, v)))
+        )
+    ok = all(rep.ok for _, rep in reports)
+    base = _cr_report(s, pf, coef)
     if ok and not base.ok:
         # all 1-transitive blowups CR forces the base to be CR
         raise TheoremViolationError(

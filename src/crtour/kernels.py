@@ -16,13 +16,17 @@ pos(j) counting the members of X below j.  The subsets with highest
 vertex h form the bitmask block [2^h, 2^(h+1)), so ``pfaffian_table``
 fills the Pfaffian of every vertex subset block by block in O(2^n n).
 Block h is one gather and one matrix-vector product:
-Pf(Y + h) = sum_j sgn(Y, j) s[j, h] Pf(Y - j) over Y below 2^h, read
-through two index tables built once per call, Y ^ 2^j and
-sgn(Y, j) = (-1)^|Y & [0, j)| (0 when j is not in Y).  The same
-expansion shows that Pf(X + u) for an attached vertex u is linear in
-u's column, with coefficients C[X, j] = sgn(X, j) Pf(X - j): the same
-gather once more (``attach_table``).  That is the general form of the
-bordered identity det = (a + x^t S^-1 y)^2.
+Pf(Y + h) = sum_j sgn(Y, j) s[j, h] Pf(Y - j) over the odd Y below
+2^h (even Y give 0), read through two index tables, Y ^ 2^j and
+sgn(Y, j) = (-1)^|Y & [0, j)| (0 when j is not in Y).  Neither depends
+on the top order, so one read-only copy for the largest order asked so
+far serves every smaller order as a slice.  The same expansion shows
+that Pf(X + u) for an attached vertex u is linear in u's column, with
+coefficients C[X, j] = sgn(X, j) Pf(X - j): the same gather once more
+(``attach_table``).  That is the general form of the bordered identity
+det = (a + x^t S^-1 y)^2.  Doubling a vertex relabels the table
+(``_doubled_attach_table``), so every 1-transitive blowup's table is one
+gather of the base table.
 
 Entries in {-1, 0, 1} bound every row norm by sqrt(n-1), so
 |Pf(X)| <= (n-1)^(n/4) (Hadamard) and every table value, partial sum
@@ -65,7 +69,7 @@ from .errors import InvalidArgumentError, ResourceLimitError
 BACKEND = "numpy"
 
 # largest scan order: a 2^16-entry table, and extension scans of a
-# 15-vertex tournament take 2^15 relations times 2^14 odd subsets
+# 15-vertex tournament take up to 2^14 relations times 2^14 odd subsets
 SCAN_LIMIT = 16
 
 
@@ -120,42 +124,66 @@ def bareiss_det(a) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _attach_index(h: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index tables for attaching a vertex to the subsets of {0..h-1},
-    as (h, 2^h) arrays: ``flip[j, X] = X ^ 2^j`` and ``sign[j, X]`` =
-    (-1)^|X & [0, j)| when j is in X, else 0.  ``flip`` is already of
-    numpy's index type, so no gather converts it again."""
+def _attach_index(h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables for attaching a vertex to the odd subsets of
+    {0..h-1}: ``odd``, the 2^(h-1) odd-size masks in increasing order,
+    and (h, 2^(h-1)) arrays over them, ``flip[j, i] = odd[i] ^ 2^j`` and
+    ``sign[j, i]`` = (-1)^|odd[i] & [0, j)| when j is in odd[i], else 0.
+    Only odd columns are kept: Pf of an odd set is 0.  ``flip`` is
+    already of numpy's index type, so no gather converts it again."""
     masks = np.arange(1 << h)
-    flip = masks ^ (1 << np.arange(h))[:, None]
-    sign = np.zeros((h, 1 << h), np.int8)
-    parity = np.ones(1, np.int8)  # (-1)^popcount of each mask below 2^j
-    for j in range(h):
-        sign[j].reshape(-1, 2, 1 << j)[:, 1, :] = parity
-        parity = np.concatenate([parity, -parity])
-    return flip, sign
+    odd = masks[np.bitwise_count(masks) % 2 == 1]
+    bits = 1 << np.arange(h)[:, None]
+    flip = odd ^ bits
+    below = np.bitwise_count(odd & (bits - 1)) % 2
+    sign = np.where(odd & bits, 1 - 2 * below, 0).astype(np.int8)
+    for a in (odd, flip, sign):
+        a.flags.writeable = False
+    return odd, flip, sign
 
 
-def _attach_rows(pf: np.ndarray, flip, sign, h: int) -> np.ndarray:
-    """Rows j of the attach coefficients of the subsets of {0..h-1}:
+# the index tables of the largest order asked for so far; every smaller
+# order reads a slice of them (the first 2^(h-1) odd masks are those
+# below 2^h)
+_INDEX = _attach_index(0)
+
+
+def _index(h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_attach_index(h)`` as read-only views of the shared tables."""
+    global _INDEX
+    if h > _INDEX[1].shape[0]:
+        _INDEX = _attach_index(h)
+    odd, flip, sign = _INDEX
+    m = (1 << h) >> 1
+    return odd[:m], flip[:h, :m], sign[:h, :m]
+
+
+def _attach_rows(pf: np.ndarray, flip, sign) -> np.ndarray:
+    """Rows j of the attach coefficients of the odd subsets X of
+    {0..h-1}, read through the order-h slices of ``flip`` and ``sign``:
     (-1)^pos(j) Pf(X - j) at column X for j in X, else 0."""
-    rows = pf[flip[:h, : 1 << h]]
-    rows *= sign[:h, : 1 << h]
+    rows = pf[flip]
+    rows *= sign
     return rows
 
 
-def _fill(arr: np.ndarray, flip, sign) -> np.ndarray:
-    pf = np.zeros(1 << arr.shape[0], np.int64)
+def _fill(arr: np.ndarray) -> np.ndarray:
+    n = arr.shape[0]
+    odd, flip, sign = _index(max(n - 1, 0))
+    pf = np.zeros(1 << n, np.int64)
     pf[0] = 1
-    for h in range(arr.shape[0]):
-        pf[1 << h : 2 << h] = arr[:h, h] @ _attach_rows(pf, flip, sign, h)
+    for h in range(1, n):
+        # Pf(Y + h) is 0 for even |Y|, so only the odd Y are filled
+        m = 1 << (h - 1)
+        rows = _attach_rows(pf, flip[:h, :m], sign[:h, :m])
+        pf[1 << h : 2 << h][odd[:m]] = arr[:h, h] @ rows
     return pf
 
 
 def pfaffian_table(s) -> np.ndarray:
     """Pf of every vertex subset of a skew matrix, indexed by bitmask:
     Pf(empty) = 1, odd subsets 0, det S[X] = Pf(X)^2."""
-    arr = _as_scan_input(s)
-    return _fill(arr, *_attach_index(max(arr.shape[0] - 1, 0)))
+    return _fill(_as_scan_input(s))
 
 
 def _subset_dets(s) -> tuple[np.ndarray, np.ndarray]:
@@ -166,14 +194,35 @@ def _subset_dets(s) -> tuple[np.ndarray, np.ndarray]:
 
 def attach_table(s) -> tuple[np.ndarray, np.ndarray]:
     """The Pfaffian table ``pf`` of a skew matrix of order n and the
-    (2^n, n) matrix C with Pf(X + u) = sum_j C[X, j] s[j, u] for a
-    vertex u attached to it: C[X, j] = (-1)^pos(j) Pf(X - j) for j in
-    X and 0 otherwise, so rows of even X are all zero."""
+    (2^(n-1), n) matrix C with Pf(X + u) = sum_j C[X, j] s[j, u] for a
+    vertex u attached to it, one row per odd subset X in increasing
+    mask order: C[X, j] = (-1)^pos(j) Pf(X - j) for j in X and 0
+    otherwise.  Even X are left out; their Pf(X + u) is 0."""
     arr = _as_scan_input(s)
-    n = arr.shape[0]
-    flip, sign = _attach_index(n)
-    pf = _fill(arr, flip, sign)
-    return pf, _attach_rows(pf, flip, sign, n).T
+    pf = _fill(arr)
+    return pf, _attach_rows(pf, *_index(arr.shape[0])[1:]).T
+
+
+def _doubled_attach_table(
+    pf: np.ndarray, v: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``attach_table`` of the 1-transitive blowup b of the order-n
+    tournament with Pfaffian table ``pf`` that doubles vertex v: v' =
+    v + 1 follows v, v beats v', and later vertices shift up by one.
+
+    Subtracting the row and column of v from those of v' in S_b leaves
+    only the entry linking v' to v, and v, v' are adjacent, so
+    Pf_b(X + v + v') = Pf(X) and Pf_b(X + v') = Pf(X + v) with no sign
+    change; a set through v alone is a set of t.  So b's table is the
+    gather pf[idx], idx(Y) = rest(Y) | ((y_v XOR y_v') << v), where
+    rest(Y) maps Y minus {v, v'} back to the vertices of t, and C_b is
+    the attach gather of that table."""
+    masks = np.arange(pf.size << 1)
+    low = masks & ((1 << v) - 1)
+    high = (masks >> (v + 2)) << (v + 1)
+    pair = ((masks >> v) ^ (masks >> (v + 1))) & 1
+    pf_b = pf[low | high | (pair << v)]
+    return pf_b, _attach_rows(pf_b, *_index(pf.size.bit_length())[1:]).T
 
 
 def _lex_first(masks: np.ndarray) -> int:

@@ -28,7 +28,7 @@ from .core import (
     transitive_tournament,
 )
 from .cr import (
-    _sigmas,
+    _relations,
     all_sigmas,
     cr_associated,
     cr_witness_table,
@@ -49,7 +49,11 @@ from .blowup import (
     xi_blowup_check,
 )
 from .detkit import in_dk, in_dk_exactly, max_subtournament_det, tournament_det
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import (
+    InvalidArgumentError,
+    ResourceLimitError,
+    TheoremViolationError,
+)
 from .lfamily import gen_ln, gen_ln_minus, ln_extension_is_cr
 from .zmatrix import (
     _b_diffs,
@@ -382,7 +386,12 @@ def _strongcr_equiv(max_n: int, seed: int):
             base_cr = is_cr_tournament(t).ok
             if blowups_cr and not base_cr:
                 failures.append(_fail(t, blowups_cr=True, base_cr=False))
-            strong = is_strong_cr(t).ok
+            try:
+                strong = is_strong_cr(t).ok
+            except TheoremViolationError as exc:
+                # is_strong_cr met the counterexample on its own route
+                failures.append(_fail(t, strong_cr_error=str(exc)))
+                continue
             if strong != (blowups_cr and base_cr):
                 failures.append(_fail(t, strong=strong, blowups_cr=blowups_cr))
     return checked, failures, {}
@@ -419,7 +428,7 @@ def _noncr_nondecomp(max_n: int, seed: int):
         noncr = np.flatnonzero(cr_witness_table(hat)[0] < 0)
         if not noncr.size:
             continue
-        sig = tuple(_sigmas(hat.n)[noncr[rng.randrange(noncr.size)]].tolist())
+        sig = tuple(_relations(hat.n)[0][noncr[rng.randrange(noncr.size)]].tolist())
         ext = extend(hat, sig)
         checked += 1
         if decompose_transitive_blowup(ext, base) is not None:

@@ -99,6 +99,23 @@ def brute_cr_witness(t: Tournament, sigma):
     return None
 
 
+def product_witness_table(t: Tournament):
+    """cr_witness_table by one product of every relation with S^t:
+    entry v of sigma S^t sums sigma_x s[v, x], and it is +(n-1) or
+    -(n-1) exactly when u agrees or disagrees with v on every other
+    vertex.  The lowest such v is taken; the sign is that entry's
+    (0 at order 1, where the entry is 0)."""
+    n = t.n
+    idx = np.arange(1 << n)[:, None]
+    sig = 2 * ((idx >> np.arange(n - 1, -1, -1)) & 1) - 1
+    agree = sig @ t.skew.T.astype(np.int64)
+    hit = np.abs(agree) == n - 1
+    lowest = hit.argmax(axis=1)
+    vertex = np.where(hit.any(axis=1), lowest, -1)
+    sign = np.sign(agree[np.arange(1 << n), lowest]) * (vertex >= 0)
+    return vertex, sign
+
+
 def _cr_report(t: Tournament, k: int, violates):
     """(ok, k, trivial, failures, witness_map) of the CR check, given k
     and a test of whether T(u, sigma) leaves D_k, relation by relation

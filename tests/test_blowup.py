@@ -398,6 +398,22 @@ def test_xi_check_negative_case():
     assert xi_blowup_check(d7_six_tournament(), 7) == (False, False)
 
 
+def test_xi_check_runs_one_copy_search(monkeypatch):
+    import sys
+
+    mod = sys.modules["crtour.blowup"]
+    calls = []
+    real = mod._first_switching_copy
+    monkeypatch.setattr(
+        mod, "_first_switching_copy", lambda t, h: calls.append(1) or real(t, h)
+    )
+    t = random_switched_blowup(random.Random(8), gen_ln(8), 9)
+    for case, want in ((t, (True, True)), (d7_six_tournament(), (False, False))):
+        calls.clear()
+        assert xi_blowup_check(case, 7) == want
+        assert len(calls) == 1
+
+
 def test_xi_check_l10_against_itself():
     assert xi_blowup_check(gen_ln(10), 9) == (True, True)
 

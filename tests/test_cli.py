@@ -403,3 +403,32 @@ def test_emitting_verbs_take_no_json_flag(capsys, monkeypatch, argv):
         main([*argv, "--json"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
+def test_strongcr_equiv_records_a_failed_implication(capsys, monkeypatch):
+    # make one 3-tournament look non-CR while its blowups stay CR: the
+    # suite must report it with its .trn payload (exit 1), not end on
+    # is_strong_cr's theorem-violation error (exit 4)
+    import dataclasses
+
+    import numpy as np
+
+    from crtour import cr
+    from crtour.verify import _classes
+
+    target = _classes(3)[0]
+    real = cr._cr_report
+
+    def report(s, pf, coef):
+        rep = real(s, pf, coef)
+        if np.array_equal(s, target.skew):
+            return dataclasses.replace(rep, ok=False, failures=("+++",))
+        return rep
+
+    monkeypatch.setattr(cr, "_cr_report", report)
+    code, out, _ = run_cli(capsys, "verify", "strongcr-equiv", "--max-n", "3", "--json")
+    assert code == 1
+    failures = json.loads(out)["reports"][0]["failures"]
+    assert failures
+    assert {f["tournament"] for f in failures} == {format_trn(target)}
+    assert any("strong_cr_error" in f for f in failures)

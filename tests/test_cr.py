@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crtour import (
     InvalidArgumentError,
@@ -460,3 +461,105 @@ def test_relation_scan_does_not_depend_on_chunking(classes, monkeypatch):
 def test_l12_is_strong_cr():
     rep = is_strong_cr(gen_ln(12))
     assert rep.ok and rep.base.ok and len(rep.blowups) == 12
+
+
+# --- closed-form CR relations and strong CR from one table ----------------
+
+
+def _ordered_report(rep):
+    # witness_map compared with its key order
+    return rep.ok, rep.k, rep.trivial, rep.failures, list(rep.witness_map.items())
+
+
+def _witness_entries(t):
+    vertex, sign = cr_witness_table(t)
+    return [
+        None if v < 0 else {"vertex": v + 1, "kind": _KINDS[s]}
+        for v, s in zip(vertex.tolist(), sign.tolist())
+    ]
+
+
+def test_witness_table_matches_brute_force_on_every_class(classes):
+    # the closed form reads the CR relations off the rows of S
+    for n in range(2, 7):
+        for t in classes[n]:
+            assert _witness_entries(t) == [
+                oracles.brute_cr_witness(t, sigma) for sigma in all_sigmas(n)
+            ]
+
+
+def test_witness_table_matches_relation_product():
+    rng = random.Random(12)
+    ts = [gen_ln(n) for n in range(2, 13)]
+    ts += [oracles.random_tournament(rng, n) for n in range(1, 13) for _ in range(3)]
+    for t in ts:
+        vertex, sign = cr_witness_table(t)
+        want_vertex, want_sign = oracles.product_witness_table(t)
+        assert vertex.tolist() == want_vertex.tolist()
+        assert sign.tolist() == want_sign.tolist()
+
+
+@given(
+    st.integers(2, 8).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1))
+    )
+)
+@settings(max_examples=40)
+def test_cr_extension_has_the_determinants_of_a_blowup(drawn):
+    # every CR extension is a 1-transitive blowup up to switching {u}
+    # and relabelling, so its subset determinants are the blowup's; this
+    # is why the relation scan never checks CR relations
+    from crtour import kernels
+
+    t = Tournament.from_bits(*drawn)
+    blowups = one_transitive_blowups(t)
+    vertex, _ = cr_witness_table(t)
+    for sigma, v in zip(all_sigmas(t.n), vertex.tolist()):
+        if v < 0:
+            continue
+        got = np.sort(kernels.pfaffian_table(extend(t, sigma).skew) ** 2)
+        want = np.sort(kernels.pfaffian_table(blowups[v].skew) ** 2)
+        assert got.tolist() == want.tolist()
+
+
+def _strong_cr_cases(classes):
+    return [t for n in range(1, 7) for t in classes[n]] + [
+        gen_ln(n) for n in range(4, 11)
+    ]
+
+
+def test_strong_cr_reports_match_blowup_reports(classes):
+    for t in _strong_cr_cases(classes):
+        rep = is_strong_cr(t)
+        assert [v for v, _ in rep.blowups] == list(range(t.n))
+        for (_, got), b in zip(rep.blowups, one_transitive_blowups(t)):
+            assert _ordered_report(got) == _ordered_report(is_cr_tournament(b))
+        base = is_cr_tournament(t)
+        assert _ordered_report(rep.base) == _ordered_report(base)
+        assert rep.ok == (base.ok and all(r.ok for _, r in rep.blowups))
+
+
+def test_strong_cr_fills_one_table(monkeypatch):
+    from crtour import kernels
+
+    fills = []
+    real = kernels._fill
+    monkeypatch.setattr(kernels, "_fill", lambda arr: fills.append(1) or real(arr))
+    for t in (gen_ln(6), gen_ln(9), cycle3(), transitive_tournament(5)):
+        fills.clear()
+        is_strong_cr(t)
+        assert len(fills) == 1
+
+
+def test_cr_routes_take_no_relation_product(monkeypatch):
+    import crtour.cr as cr_mod
+
+    def forbidden(*args):
+        raise AssertionError("relation product used")
+
+    monkeypatch.setattr(cr_mod, "_witnesses", forbidden)
+    for t in (gen_ln(7), transitive_tournament(6), cycle3()):
+        cr_witness_table(t)
+        count_cr_sigmas(t)
+        is_cr_tournament(t)
+        is_strong_cr(t)

@@ -207,3 +207,106 @@ def test_minor_scans_refuse_non_skew_input():
         kernels.pfaffian_table(a)
     with pytest.raises(InvalidArgumentError):
         kernels.max_even_minor(a)
+
+
+def _doubled_cases():
+    from crtour import gen_ln
+    from test_detkit import doubled_paley
+
+    rng = random.Random(13)
+    ts = [random_tournament(rng, n) for n in range(1, 11) for _ in range(3)]
+    return ts + [gen_ln(n) for n in range(2, 11)] + [doubled_paley(7)]
+
+
+def test_doubled_table_is_the_blowup_table():
+    # Pf_b(X + v + v') = Pf(X) and Pf_b(X + v') = Pf(X + v)
+    from crtour import one_transitive_blowups
+
+    for t in _doubled_cases():
+        pf = kernels.pfaffian_table(t.skew)
+        for v, b in enumerate(one_transitive_blowups(t)):
+            pf_b, coef_b = kernels._doubled_attach_table(pf, v)
+            want_pf, want_coef = kernels.attach_table(b.skew)
+            assert pf_b.tolist() == want_pf.tolist()
+            assert coef_b.tolist() == want_coef.tolist()
+
+
+def test_attach_table_matches_bordered_pfaffians():
+    # Pf(X + u) = C[X] @ s[:, u] for every odd X, u the last vertex
+    rng = random.Random(14)
+    for n in range(2, 9):
+        s = random_tournament(rng, n + 1).skew
+        pf_big = kernels.pfaffian_table(s)
+        pf, coef = kernels.attach_table(s[:n, :n])
+        odd = [x for x in range(1 << n) if bin(x).count("1") % 2]
+        assert pf.tolist() == pf_big[: 1 << n].tolist()
+        assert coef.shape == (len(odd), n)
+        assert (coef @ s[:n, n].astype(np.int64)).tolist() == [
+            int(pf_big[x | 1 << n]) for x in odd
+        ]
+
+
+def test_index_tables_are_built_only_for_a_new_top_order(monkeypatch):
+    built = []
+    real = kernels._attach_index
+    monkeypatch.setattr(kernels, "_INDEX", real(0))
+    monkeypatch.setattr(
+        kernels, "_attach_index", lambda h: built.append(h) or real(h)
+    )
+    s = random_tournament(random.Random(15), 9).skew
+    kernels.pfaffian_table(s)  # blocks up to h = 8
+    kernels.attach_table(s[:7, :7])
+    kernels.pfaffian_table(s[:5, :5])
+    assert built == [8]
+    kernels.attach_table(s)  # attaches to all 9 vertices
+    kernels.max_even_minor(s)
+    assert built == [8, 9]
+
+
+def test_cached_tables_are_read_only():
+    from crtour import cr, is_cr_tournament
+
+    t = random_tournament(random.Random(16), 8)
+    is_cr_tournament(t)
+    tables = (*kernels._INDEX, *kernels._index(5), *cr._RELATIONS, *cr._relations(5))
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[..., 0] = 0
+
+
+_ANSWERS_BY_ORDER = """
+import json, random
+from crtour import Tournament, gen_ln, is_cr_tournament, is_strong_cr, kernels
+rng = random.Random(17)
+out = []
+for n in range(3, 10):
+    for t in (gen_ln(n), Tournament.from_bits(n, rng.getrandbits(n * (n - 1) // 2))):
+        rep = is_strong_cr(t) if n <= 7 else is_cr_tournament(t)
+        out.append([kernels.pfaffian_table(t.skew).tolist(), rep.to_json()])
+print(json.dumps(out))
+"""
+
+
+def test_cached_tables_give_fresh_answers():
+    # answers at orders 3-9 after an order-12 call equal a fresh process's
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from crtour import gen_ln, is_cr_tournament
+
+    src = str(Path(kernels.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    fresh = subprocess.run(
+        [sys.executable, "-c", _ANSWERS_BY_ORDER],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert is_cr_tournament(gen_ln(12)).ok
+    assert kernels._INDEX[1].shape[0] >= 12
+    here = {}
+    exec(_ANSWERS_BY_ORDER.replace("print(json.dumps(out))", ""), here)
+    # compared as text, so witness_map key order counts too
+    assert fresh.strip() == json.dumps(here["out"])
