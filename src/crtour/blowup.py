@@ -26,6 +26,7 @@ from . import kernels
 from .core import (
     Tournament,
     _anchored_switch_sets,
+    _chain,
     _dominant_switch_set,
     format_trn,
     induced,
@@ -68,11 +69,9 @@ def transitive_blowup(base: Tournament, sizes: Sequence[int]) -> Tournament:
     if any(s < 1 for s in sizes):
         raise InvalidArgumentError("part sizes must be positive")
     owner = np.repeat(np.arange(base.n), sizes)
-    pos = np.arange(owner.size)
-    chain = np.sign(pos[None, :] - pos[:, None]).astype(np.int8)
     same = owner[:, None] == owner[None, :]
     return Tournament._derived(
-        np.where(same, chain, base.skew[np.ix_(owner, owner)])
+        np.where(same, _chain(owner.size), base.skew[np.ix_(owner, owner)])
     )
 
 
@@ -150,9 +149,11 @@ class Decomposition:
 
 def _verify_decomposition(t: Tournament, dec: Decomposition) -> bool:
     """Whether switch(t, W), relabelled base vertex by base vertex and
-    each block along its chain, is exactly transitive_blowup(base,
-    block sizes); every base vertex must name one nonempty block and
-    every vertex of t lie in exactly one block."""
+    each block by its wins inside the block, is exactly
+    transitive_blowup(base, block sizes); every base vertex must name
+    one nonempty block and every vertex of t lie in exactly one block.
+    A block that is not transitive has no relabelling onto a chain, so
+    it fails the comparison."""
     h = dec.base
     named = sorted(dec.base_vertex_of_block)
     members = sorted(v for blk in dec.blocks for v in blk)
@@ -163,17 +164,14 @@ def _verify_decomposition(t: Tournament, dec: Decomposition) -> bool:
         or not all(dec.blocks)
     ):
         return False
-    switched = switch(t, dec.switch_set)
-    chains: list[list[int]] = [[] for _ in range(h.n)]
+    owner = np.empty(t.n, np.intp)
     for blk, b in zip(dec.blocks, dec.base_vertex_of_block):
-        verts = sorted(blk)
-        order = is_transitive(induced(switched, verts))
-        if order is None:
-            return False
-        chains[b] = [verts[i] for i in order]
-    labels = [v for chain in chains for v in chain]
-    want = transitive_blowup(h, [len(chain) for chain in chains])
-    return np.array_equal(switched.skew[np.ix_(labels, labels)], want.skew)
+        owner[list(blk)] = b
+    s = switch(t, dec.switch_set).skew
+    wins = ((s > 0) & (owner[:, None] == owner[None, :])).sum(axis=1)
+    labels = np.lexsort((-wins, owner))
+    want = transitive_blowup(h, np.bincount(owner))
+    return np.array_equal(s[np.ix_(labels, labels)], want.skew)
 
 
 def as_transitive_blowup_of(

@@ -132,15 +132,30 @@ class Tournament:
         return f"Tournament(n={self.n}, bits={self.bits()!r})"
 
 
+def _chain(n: int) -> np.ndarray:
+    """Skew matrix (int8) of the chain 0 -> 1 -> ... -> n-1: the earlier
+    vertex beats the later one."""
+    up = np.triu(np.ones((n, n), np.int8), 1)
+    return up - up.T
+
+
 def transitive_tournament(n: int) -> Tournament:
     """Chain 0 -> 1 -> ... -> n-1."""
     if n < 1:
         raise InvalidArgumentError("order must be positive")
-    arr = np.zeros((n, n), np.int8)
-    iu = np.triu_indices(n, 1)
-    arr[iu] = 1
-    arr[(iu[1], iu[0])] = -1
-    return Tournament(arr)
+    return Tournament(_chain(n))
+
+
+def _pm1_sequence(
+    seq: Sequence[int], name: str, length: Optional[int] = None
+) -> tuple[int, ...]:
+    """``seq`` as ints, checked nonempty +-1 (and of ``length``)."""
+    sig = tuple(int(v) for v in seq)
+    if not sig or any(v not in (1, -1) for v in sig):
+        raise InvalidArgumentError(f"{name} must be a nonempty +-1 sequence")
+    if length is not None and len(sig) != length:
+        raise InvalidArgumentError(f"{name} must have length {length}")
+    return sig
 
 
 def _check_vertex(t: Tournament, v: int) -> int:

@@ -17,13 +17,14 @@ well.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import kernels
-from .core import Tournament, _append_vertex
+from .core import Tournament, _append_vertex, _pm1_sequence
 from .detkit import _k_of
 from .errors import (
     InvalidArgumentError,
@@ -49,24 +50,10 @@ def sigma_to_string(sigma: Sequence[int]) -> str:
     return "".join("+" if r > 0 else "-" for r in sigma)
 
 
-def _check_sigma(t: Tournament, sigma: Sequence[int]) -> Sigma:
-    sig = tuple(int(r) for r in sigma)
-    if len(sig) != t.n:
-        raise InvalidArgumentError(
-            f"sigma length {len(sig)} does not match order {t.n}"
-        )
-    if any(r not in (1, -1) for r in sig):
-        raise InvalidArgumentError("sigma entries must be +-1")
-    return sig
-
-
 def all_sigmas(n: int) -> Iterator[Sigma]:
     """All 2^n dominating relations, by binary counting on (r_1..r_n)
     with +1 as bit 1 and r_1 the most significant digit."""
-    for s in range(1 << n):
-        yield tuple(
-            1 if (s >> (n - 1 - i)) & 1 else -1 for i in range(n)
-        )
+    return itertools.product((-1, 1), repeat=n)
 
 
 def _kind(sign: int) -> str:
@@ -96,7 +83,7 @@ def cr_associated(t: Tournament, u1: int, u2: int) -> Optional[str]:
 def extend(t: Tournament, sigma: Sequence[int]) -> Tournament:
     """The (n+1)-tournament T(u, sigma); the new vertex u gets index n
     and theta(u, v_i) = sigma[i]."""
-    sig = _check_sigma(t, sigma)
+    sig = _pm1_sequence(sigma, "sigma", t.n)
     return _append_vertex(t, sig)
 
 
@@ -131,7 +118,7 @@ def cr_vertex_witness(
     The lowest-index witness is reported; on a basic tournament the
     witness is unique anyway.
     """
-    sig = _check_sigma(t, sigma)
+    sig = _pm1_sequence(sigma, "sigma", t.n)
     if t.n == 1:
         return CrWitness(0, BOTH)
     vertex, sign = _witnesses(t, np.array([sig], np.int64))

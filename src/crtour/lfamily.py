@@ -10,11 +10,19 @@ run count t alone decides whether the attachment is a CR vertex.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import Tournament, induced, is_transitive, switch, theta
+from .core import (
+    Tournament,
+    _chain,
+    _pm1_sequence,
+    induced,
+    is_transitive,
+    switch,
+    theta,
+)
 from .errors import InvalidArgumentError, ResourceLimitError
 
 Signature = tuple[int, ...]
@@ -23,29 +31,16 @@ Signature = tuple[int, ...]
 LN_LIMIT = 4096
 
 
-def _pm1_sequence(
-    seq: Sequence[int], name: str, length: Optional[int] = None
-) -> tuple[int, ...]:
-    """``seq`` as ints, checked nonempty +-1 (and of ``length``)."""
-    sig = tuple(int(v) for v in seq)
-    if not sig or any(v not in (1, -1) for v in sig):
-        raise InvalidArgumentError(f"{name} must be a nonempty +-1 sequence")
-    if length is not None and len(sig) != length:
-        raise InvalidArgumentError(f"{name} must have length {length}")
-    return sig
-
-
 def gen_ln(n: int) -> Tournament:
     """L_n: transitive chain on v_1..v_{n-1}, v_n -> v_i iff i odd."""
     if n < 2:
         raise InvalidArgumentError("L_n needs n >= 2")
     if n > LN_LIMIT:
         raise ResourceLimitError(f"L_{n} exceeds the order limit {LN_LIMIT}")
-    chain = np.triu(np.ones((n - 1, n - 1), np.int8), 1)
     last = np.ones(n - 1, np.int8)
     last[1::2] = -1  # 0-based even = 1-based odd
     arr = np.zeros((n, n), np.int8)
-    arr[: n - 1, : n - 1] = chain - chain.T
+    arr[: n - 1, : n - 1] = _chain(n - 1)
     arr[n - 1, : n - 1] = last
     arr[: n - 1, n - 1] = -last
     return Tournament(arr)

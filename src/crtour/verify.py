@@ -54,7 +54,12 @@ from .errors import (
     ResourceLimitError,
     TheoremViolationError,
 )
-from .lfamily import gen_ln, gen_ln_minus, ln_extension_is_cr
+from .lfamily import (
+    gen_ln,
+    gen_ln_minus,
+    ln_extension_is_cr,
+    sigma_to_signature,
+)
 from .zmatrix import (
     _b_diffs,
     _gamma,
@@ -125,6 +130,22 @@ def _flip_random_arc(rng: random.Random, t: Tournament) -> Tournament:
 
 def _random_sigma(rng: random.Random, n: int) -> tuple[int, ...]:
     return tuple(rng.choice((1, -1)) for _ in range(n))
+
+
+def _random_switch_set(rng: random.Random, n: int) -> frozenset[int]:
+    """Each of the vertices 0..n-1 independently with probability 1/2."""
+    return frozenset(v for v in range(n) if rng.random() < 0.5)
+
+
+def _random_blowup(
+    rng: random.Random, base: Tournament, lo: int, hi: int
+) -> Tournament:
+    """A transitive blowup of base whose order is drawn from lo..hi,
+    each vertex beyond base.n joining a uniformly drawn part."""
+    sizes = [1] * base.n
+    for _ in range(rng.randint(lo - base.n, hi - base.n)):
+        sizes[rng.randrange(base.n)] += 1
+    return transitive_blowup(base, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +257,8 @@ def _d3_six_subs(max_n: int, seed: int):
     base = gen_ln(4)
     checked, failures, in_d3 = 0, [], 0
     for trial in range(1000):
-        sizes = [1] * 4
-        for _ in range(rng.randint(8, max_n) - 4):
-            sizes[rng.randrange(4)] += 1
-        t = transitive_blowup(base, sizes)
-        t = switch(t, frozenset(v for v in range(t.n) if rng.random() < 0.5))
+        t = _random_blowup(rng, base, 8, max_n)
+        t = switch(t, _random_switch_set(rng, t.n))
         if trial % 2 == 1:
             t = _flip_random_arc(rng, t)
         checked += 1
@@ -262,13 +280,8 @@ def _d5_blowup(max_n: int, seed: int):
     base = gen_ln(6)
     checked, failures = 0, []
     for trial in range(1000):
-        extra = rng.randint(0, max(max_n - 6, 0))
-        sizes = [1] * 6
-        for _ in range(extra):
-            sizes[rng.randrange(6)] += 1
-        t = transitive_blowup(base, sizes)
-        w = frozenset(v for v in range(t.n) if rng.random() < 0.5)
-        t = switch(t, w)
+        t = _random_blowup(rng, base, 6, max_n)
+        t = switch(t, _random_switch_set(rng, t.n))
         if trial % 2 == 1:
             t = _flip_random_arc(rng, t)
         checked += 1
@@ -281,30 +294,27 @@ def _d5_blowup(max_n: int, seed: int):
 
 @_suite("det-sw-invariance", default_max_n=6, hard_cap=8)
 def _det_sw_invariance(max_n: int, seed: int):
-    """Switching changes no subtournament determinant, subset by subset."""
+    """Switching changes no subtournament determinant, subset by subset:
+    every switch of every class to order 5, then 1000 random switches
+    of random tournaments of order max_n."""
     rng = random.Random(seed)
+    every = (
+        (t, w)
+        for n in range(2, min(max_n, 5) + 1)
+        for t in _classes(n)
+        for w in _anchored_switch_sets(n)
+    )
+    sampled = (
+        (_random_tournament(rng, max_n), _random_switch_set(rng, max_n))
+        for _ in range(1000)
+    )
     checked, failures = 0, []
-    for n in range(2, min(max_n, 5) + 1):
-        for t in _classes(n):
-            dets = kernels._subset_dets(t.skew)[0]
-            for w in _anchored_switch_sets(n):
-                differ = dets != kernels._subset_dets(switch(t, w).skew)[0]
-                checked += 1
-                subs = map(_mask_vertices, np.flatnonzero(differ).tolist())
-                for sub in sorted(subs, key=lambda u: (len(u), u)):
-                    failures.append(_fail(t, w=sorted(w), u=sub))
-    for _ in range(1000):
-        n = max_n
-        t = _random_tournament(rng, n)
-        w = frozenset(v for v in range(n) if rng.random() < 0.5)
-        t2 = switch(t, w)
-        sub = tuple(
-            sorted(rng.sample(range(n), rng.randint(1, n)))
-        )
-        mask = sum(1 << v for v in sub)
-        before, after = (kernels._subset_dets(x.skew)[0] for x in (t, t2))
+    for t, w in itertools.chain(every, sampled):
+        dets = kernels._subset_dets(t.skew)[0]
+        differ = dets != kernels._subset_dets(switch(t, w).skew)[0]
         checked += 1
-        if before[mask] != after[mask]:
+        subs = map(_mask_vertices, np.flatnonzero(differ).tolist())
+        for sub in sorted(subs, key=lambda u: (len(u), u)):
             failures.append(_fail(t, w=sorted(w), u=sub))
     return checked, failures, {"samples": 1000}
 
@@ -418,13 +428,9 @@ def _noncr_nondecomp(max_n: int, seed: int):
     brute_checked = 0
     for trial in range(1000):
         base = gen_ln(4) if trial % 2 == 0 else gen_ln(6)
-        room = max_n - 1 - base.n
-        if room < 0:
+        if max_n - 1 < base.n:
             continue
-        sizes = [1] * base.n
-        for _ in range(rng.randint(0, room)):
-            sizes[rng.randrange(base.n)] += 1
-        hat = transitive_blowup(base, sizes)
+        hat = _random_blowup(rng, base, base.n, max_n - 1)
         noncr = np.flatnonzero(cr_witness_table(hat)[0] < 0)
         if not noncr.size:
             continue
@@ -470,21 +476,24 @@ def _cr_order3(max_n: int, seed: int):
     return checked, failures, {}
 
 
-@_suite("l4l6-strongcr", default_max_n=6, hard_cap=6)
-def _l4l6_strongcr(max_n: int, seed: int):
-    """L_4 and L_6 are basic strong CR tournaments."""
-    checked, failures = 0, []
-    for n in (4, 6):
-        if n > max_n:
-            continue
+def _ln_basic_strong_cr(orders: list[int]) -> tuple[int, list]:
+    """Each L_n of the given orders is basic and strong CR."""
+    failures = []
+    for n in orders:
         t = gen_ln(n)
-        checked += 1
         if not is_basic(t):
             failures.append(_fail(t, basic=False))
         rep = is_strong_cr(t)
         if not rep.ok:
-            failures.append(_fail(t, strong=False))
-    return checked, failures, {}
+            bad = [v + 1 for v, r in rep.blowups if not r.ok]
+            failures.append(_fail(t, strong=False, failing_blowups=bad))
+    return len(orders), failures
+
+
+@_suite("l4l6-strongcr", default_max_n=6, hard_cap=6)
+def _l4l6_strongcr(max_n: int, seed: int):
+    """L_4 and L_6 are basic strong CR tournaments."""
+    return *_ln_basic_strong_cr([n for n in (4, 6) if n <= max_n]), {}
 
 
 @_suite("ln-cr-formula", default_max_n=8, hard_cap=10)
@@ -515,20 +524,9 @@ def _ln_cr_formula(max_n: int, seed: int):
 
 @_suite("l8-strongcr", default_max_n=8, hard_cap=14)
 def _l8_strongcr(max_n: int, seed: int):
-    """L_8 (and L_10, L_12, L_14 as max_n allows) is basic strong CR by
-    the definition-level scan over every blowup and every relation."""
-    checked, failures = 0, []
+    """L_8 (and L_10, L_12, L_14 as max_n allows) is basic strong CR."""
     orders = [n for n in (8, 10, 12, 14) if n <= max_n]
-    for n in orders:
-        t = gen_ln(n)
-        checked += 1
-        if not is_basic(t):
-            failures.append(_fail(t, basic=False))
-        rep = is_strong_cr(t)
-        if not rep.ok:
-            bad = [v + 1 for v, r in rep.blowups if not r.ok]
-            failures.append(_fail(t, strong=False, failing_blowups=bad))
-    return checked, failures, {"orders": orders}
+    return *_ln_basic_strong_cr(orders), {"orders": orders}
 
 
 @_suite("t6-det25", default_max_n=6, hard_cap=6)
@@ -581,12 +579,8 @@ def _xi_decomp(max_n: int, seed: int):
     checked, failures = 0, []
     samples = 25 if max_n >= 8 else 0  # every blowup of L_8 has order >= 8
     for _ in range(samples):
-        extra = rng.randint(0, max_n - 8)
-        sizes = [1] * 8
-        for _ in range(extra):
-            sizes[rng.randrange(8)] += 1
-        t = transitive_blowup(base, sizes)
-        t = switch(t, frozenset(v for v in range(t.n) if rng.random() < 0.5))
+        t = _random_blowup(rng, base, 8, max_n)
+        t = switch(t, _random_switch_set(rng, t.n))
         checked += 1
         if xi_blowup_check(t, 7) != (True, True):
             failures.append(_fail(t, expected=(True, True)))
@@ -598,10 +592,19 @@ def _xi_decomp(max_n: int, seed: int):
     return checked, failures, {"samples": samples}
 
 
+def _delta_by_runs(r: tuple[int, ...]) -> int:
+    """Delta by the odd-run formula: 2 r_1 sum_i (-1)^(d_i + i), with
+    d_0 < d_1 < ... the positions of the odd-length runs of r."""
+    runs = sigma_to_signature(r)
+    odd = [d for d, a in enumerate(runs, start=1) if abs(a) % 2 == 1]
+    return 2 * r[0] * sum((-1) ** (d + i) for i, d in enumerate(odd))
+
+
 @_suite("zmatrix-props", default_max_n=15, hard_cap=21)
 def _zmatrix_props(max_n: int, seed: int):
-    """Row-sum identity, diagonal steps, boundary differences, total
-    step, bordered determinants, and the deletion-determinant identity."""
+    """Row sums against the diagonal vectors, diagonal steps, total step
+    against the odd-run formula, boundary differences, bordered
+    determinants, and the deletion-determinant identity."""
     rng = random.Random(seed)
     checked, failures = 0, []
 
@@ -609,15 +612,20 @@ def _zmatrix_props(max_n: int, seed: int):
         nonlocal checked
         checked += 1
         z = z_matrix(m, r)
-        b = row_sums(z)  # internally cross-checks the Gamma route
-        # Gamma_ell's difference at i, exempt at i = ell - 1 and ell
+        b = row_sums(z)
         ell = np.arange(1, m + 1)[:, None]
+        gamma = _gamma(z, ell)  # row ell - 1 is Gamma_ell
+        for j in np.flatnonzero(gamma.sum(axis=0) != b).tolist():
+            failures.append({"m": m, "r": r, "row_sum_at": j + 1})
+        # Gamma_ell's difference at i, exempt at i = ell - 1 and ell
         i = np.arange(1, m)
-        off = np.diff(_gamma(z, ell), axis=1) != _steps(r)[:, None]
+        off = np.diff(gamma, axis=1) != _steps(r)[:, None]
         off &= (i != ell - 1) & (i != ell)
         for e, j in np.argwhere(off).tolist():
             failures.append({"m": m, "r": r, "ell": e + 1, "i": j + 1})
-        delta_total(r)  # raises when the odd-run formula disagrees
+        delta, by_runs = delta_total(r), _delta_by_runs(r)
+        if delta != by_runs:
+            failures.append({"m": m, "r": r, "delta": delta, "by_runs": by_runs})
         for j in np.flatnonzero(np.diff(b) != _b_diffs(r)).tolist():
             failures.append({"m": m, "r": r, "b_diff_at": j + 1})
 
@@ -626,7 +634,7 @@ def _zmatrix_props(max_n: int, seed: int):
             check_r(m, bits)
     for m in range(9, max_n + 1, 2):
         for _ in range(1000):
-            check_r(m, tuple(rng.choice((1, -1)) for _ in range(m)))
+            check_r(m, _random_sigma(rng, m))
 
     for p in (2, 4, 6):
         for a in (1, -1):
@@ -640,8 +648,7 @@ def _zmatrix_props(max_n: int, seed: int):
     for p in (8, 10):
         for _ in range(1000):
             a = rng.choice((1, -1))
-            x = tuple(rng.choice((1, -1)) for _ in range(p))
-            y = tuple(rng.choice((1, -1)) for _ in range(p))
+            x, y = _random_sigma(rng, p), _random_sigma(rng, p)
             checked += 1
             if bordered_det(a, x, y) != det_exact(assemble_bordered(a, x, y)):
                 failures.append({"p": p, "a": a, "x": x, "y": y})

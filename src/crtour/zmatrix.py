@@ -20,11 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import induced
+from .core import _chain, _pm1_sequence, induced
 from .cr import extend
 from .detkit import tournament_det
-from .errors import InvalidArgumentError, TheoremViolationError
-from .lfamily import _pm1_sequence, gen_ln, sigma_to_signature
+from .errors import InvalidArgumentError
+from .lfamily import gen_ln
 
 
 def _odd_r(r: Sequence[int]) -> tuple[int, ...]:
@@ -97,20 +97,13 @@ def diagonal_vector(z: ZMatrix, ell: int) -> DiagonalVector:
     ell = int(ell)
     if not 1 <= ell <= z.m:
         raise InvalidArgumentError("ell out of range")
-    step = 2 * (1 if ell % 2 == 0 else -1) * z.r[ell - 1]
+    step = int(_steps(z.r)[ell - 1])
     return DiagonalVector(ell, tuple(_gamma(z, ell).tolist()), step)
 
 
 def row_sums(z: ZMatrix) -> np.ndarray:
-    """b with b_i the i-th row sum; cross-checked against summing the
-    diagonal vectors entrywise."""
-    b = z.entries.sum(axis=1)
-    via_gamma = _gamma(z, np.arange(1, z.m + 1)[:, None]).sum(axis=0)
-    if not np.array_equal(b, via_gamma):
-        raise TheoremViolationError(
-            "row sums disagree with the diagonal-vector route"
-        )
-    return b.astype(np.int64)
+    """b with b_i the i-th row sum."""
+    return z.entries.sum(axis=1, dtype=np.int64)
 
 
 def _steps(rr: Sequence[int]) -> np.ndarray:
@@ -121,23 +114,8 @@ def _steps(rr: Sequence[int]) -> np.ndarray:
 
 
 def delta_total(r: Sequence[int]) -> int:
-    """Delta = sum of the diagonal steps, computed directly and through
-    the odd-run formula; the two must agree."""
-    rr = _odd_r(r)
-    direct = int(_steps(rr).sum())
-    runs = sigma_to_signature(rr)
-    odd_positions = [
-        d for d, a in enumerate(runs, start=1) if abs(a) % 2 == 1
-    ]
-    via_runs = 2 * sum(
-        (1 if (d + i) % 2 == 0 else -1) * rr[0]
-        for i, d in enumerate(odd_positions)
-    )
-    if direct != via_runs:
-        raise TheoremViolationError(
-            f"delta mismatch: direct {direct} vs run formula {via_runs}"
-        )
-    return direct
+    """Delta, the sum of the diagonal steps."""
+    return int(_steps(_odd_r(r)).sum())
 
 
 def _b_diffs(rr: Sequence[int]) -> np.ndarray:
@@ -161,18 +139,14 @@ def b_diff_predicted(i: int, r: Sequence[int]) -> int:
 def transitive_inverse(p: int) -> np.ndarray:
     """Inverse of the order-p transitive skew-adjacency matrix (p even):
     the alternating band with (i, j) entry (-1)^{j-i} above the
-    diagonal."""
+    diagonal, i.e. the chain times the checkerboard (-1)^{i+j}."""
     p = int(p)
     if p < 2 or p % 2 == 1:
         raise InvalidArgumentError(
             "the transitive skew matrix is invertible only for even order"
         )
-    inv = np.zeros((p, p), np.int64)
-    for i in range(p):
-        for j in range(i + 1, p):
-            inv[i, j] = 1 if (j - i) % 2 == 0 else -1
-            inv[j, i] = -inv[i, j]
-    return inv
+    i = np.arange(p)
+    return _chain(p) * (-1) ** (i[:, None] + i)
 
 
 def assemble_bordered(a: int, x: Sequence[int], y: Sequence[int]) -> np.ndarray:
@@ -185,8 +159,7 @@ def assemble_bordered(a: int, x: Sequence[int], y: Sequence[int]) -> np.ndarray:
     s[0, 1], s[1, 0] = a, -a
     s[0, 2:], s[2:, 0] = xa, -xa
     s[1, 2:], s[2:, 1] = ya, -ya
-    core = np.triu(np.ones((p, p), np.int64), 1)
-    s[2:, 2:] = core - core.T
+    s[2:, 2:] = _chain(p)
     return s
 
 

@@ -211,13 +211,13 @@ def test_ac11_zmatrix_laws():
 
         def check(m, r):
             z = z_matrix(m, r)
-            b = row_sums(z)  # verifies the two summation routes agree
+            b = row_sums(z)
+            gammas = [diagonal_vector(z, ell) for ell in range(1, m + 1)]
+            sums = [sum(col) for col in zip(*(g.entries for g in gammas))]
+            assert b.tolist() == sums  # b = sum_ell Gamma_ell, entrywise
             delta = delta_total(r)
-            assert delta == sum(
-                diagonal_vector(z, ell).step for ell in range(1, m + 1)
-            )
-            for ell in range(1, m + 1):
-                g = diagonal_vector(z, ell)
+            assert delta == sum(g.step for g in gammas)
+            for ell, g in enumerate(gammas, start=1):
                 for i in range(1, m):
                     if i not in (ell - 1, ell):
                         assert g.entries[i] - g.entries[i - 1] == g.step

@@ -302,6 +302,17 @@ def test_verify_decomposition_names_every_base_vertex():
     assert not _verify_decomposition(l4, twice)
     repeated = Decomposition(frozenset(), ((0, 0), (1,), (2,), (3,)), (0, 1, 2, 3), l4)
     assert not _verify_decomposition(l4, repeated)
+    swapped = Decomposition(frozenset(), ((0,), (1,), (2,), (3,)), (1, 0, 2, 3), l4)
+    assert not _verify_decomposition(l4, swapped)
+    # a block inducing a 3-cycle is no chain, whatever its order
+    one = transitive_tournament(1)
+    t = blowup(l4, [cycle3(), one, one, one])
+    cyclic = Decomposition(
+        frozenset(), ((0, 1, 2), (3,), (4,), (5,)), (0, 1, 2, 3), l4
+    )
+    assert not _verify_decomposition(t, cyclic)
+    chained = transitive_blowup(l4, [3, 1, 1, 1])
+    assert _verify_decomposition(chained, cyclic)
 
 
 def test_copy_search_stops_at_scan_limit():

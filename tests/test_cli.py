@@ -173,6 +173,20 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     parse_tournament(m.group(1).replace("\\n", "\n"))
 
 
+def test_broken_zmatrix_law_exits_one(capsys, monkeypatch):
+    # the odd-run formula fed r with r_1 negated: Delta disagrees, and
+    # the suite reports the Z-matrices instead of stopping the run
+    from crtour.lfamily import sigma_to_signature
+
+    monkeypatch.setattr(
+        "crtour.verify.sigma_to_signature",
+        lambda r: sigma_to_signature((-r[0], *r[1:])),
+    )
+    code, out, err = run_cli(capsys, "verify", "zmatrix-props", "--max-n", "7")
+    assert code == 1 and err == ""
+    assert "zmatrix-props: FAIL" in out and "'by_runs'" in out
+
+
 def test_enumerate_count_and_classes(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "3", "--count")
     assert (code, out.strip()) == (0, "8")

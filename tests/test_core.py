@@ -34,7 +34,7 @@ from crtour import (
     transitive_tournament,
 )
 from crtour.blowup import blowup
-from crtour.core import automorphism_count
+from crtour.core import _chain, automorphism_count
 
 import oracles
 
@@ -134,6 +134,14 @@ def test_induced_rejects_out_of_range_vertices():
 
 
 # --- is_transitive ----------------------------------------------------
+
+
+def test_chain_matches_its_definition():
+    # (i, j) is +1 when i < j: the earlier vertex beats the later one
+    for n in range(1, 13):
+        want = [[(i < j) - (i > j) for j in range(n)] for i in range(n)]
+        assert _chain(n).dtype == np.int8 and _chain(n).tolist() == want
+        assert transitive_tournament(n).skew.tolist() == want
 
 
 def test_is_transitive_examples():

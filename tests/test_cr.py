@@ -63,6 +63,16 @@ def test_all_sigmas_order_and_count():
     assert sigmas[-1] == (1, 1, 1)
 
 
+def test_all_sigmas_is_binary_counting():
+    # r_i is bit n-1-i of the relation's number, +1 for a set bit
+    for n in range(11):
+        want = [
+            tuple(1 if (s >> (n - 1 - i)) & 1 else -1 for i in range(n))
+            for s in range(1 << n)
+        ]
+        assert list(all_sigmas(n)) == want
+
+
 # --- cr_associated -----------------------------------------------------
 
 
@@ -148,6 +158,13 @@ def test_extend_then_induce_restores():
 def test_extend_rejects_length_mismatch():
     with pytest.raises(InvalidArgumentError):
         extend(cycle3(), (1, 1))
+
+
+@pytest.mark.parametrize("fn", [extend, cr_vertex_witness])
+@pytest.mark.parametrize("sigma", [(1, 1), (1, -1, 1, 1), (1, 0, -1), ()])
+def test_relation_must_be_pm1_of_the_order(fn, sigma):
+    with pytest.raises(InvalidArgumentError):
+        fn(cycle3(), sigma)
 
 
 # --- cr_vertex_witness ---------------------------------------------------

@@ -10,7 +10,9 @@ from crtour import (
     switch,
     tournament_det,
 )
+from crtour.lfamily import sigma_to_signature
 from crtour.verify import available_suites, d7_six_tournament, run_suite
+from crtour.zmatrix import _gamma
 
 FAST_PARAMS = {
     # trimmed sizes so the whole registry runs quickly in CI
@@ -96,12 +98,24 @@ def _switch_and_flip(t, w):
     return Tournament(arr)
 
 
+def _shifted_gamma(z, ell):
+    # every diagonal vector off by one: their steps hold, their sum not
+    return _gamma(z, ell) + 1
+
+
+def _runs_of_flipped_r(r):
+    # the odd-run formula reads r with r_1 negated
+    return sigma_to_signature((-r[0], *r[1:]))
+
+
 @pytest.mark.parametrize(
     "name, route, fake",
     [
         ("d1-diamond", "in_dk", lambda t, k: True),
         ("d3-six-subs", "in_dk", lambda t, k: True),
         ("det-sw-invariance", "switch", _switch_and_flip),
+        ("zmatrix-props", "_gamma", _shifted_gamma),
+        ("zmatrix-props", "sigma_to_signature", _runs_of_flipped_r),
     ],
 )
 def test_suite_reports_a_broken_route(monkeypatch, name, route, fake):
@@ -113,6 +127,11 @@ def test_suite_reports_a_broken_route(monkeypatch, name, route, fake):
         assert any(f["diamond_free"] is False for f in rep.failures)
     if name == "d3-six-subs":
         assert {(f["in_d3"], f["six_subs"]) for f in rep.failures} == {(True, False)}
+    if name == "zmatrix-props":
+        # each counterexample names the Z-matrix it was found on
+        law = "row_sum_at" if route == "_gamma" else "by_runs"
+        assert all(f["m"] % 2 == 1 and len(f["r"]) == f["m"] for f in rep.failures)
+        assert {law in f for f in rep.failures} == {True}
 
 
 def test_d3_six_subs_orders():

@@ -199,9 +199,17 @@ def test_transitive_inverse_smallest():
 
 
 def test_transitive_inverse_is_inverse():
-    for p in (2, 4, 6, 8, 10, 12):
+    for p in range(2, 41, 2):
+        inv = transitive_inverse(p)
+        # the alternating band: (-1)^(j-i) above the diagonal, skew below
+        band = [
+            [0 if i == j else (-1) ** ((j - i) % 2) * (1 if i < j else -1)
+             for j in range(p)]
+            for i in range(p)
+        ]
+        assert inv.tolist() == band
         s = transitive_tournament(p).skew.astype(np.int64)
-        assert np.array_equal(s @ transitive_inverse(p), np.eye(p, dtype=np.int64))
+        assert np.array_equal(s @ inv, np.eye(p, dtype=np.int64))
 
 
 def test_transitive_inverse_first_row_pattern():
