@@ -36,7 +36,7 @@ from .core import (
     switching_isomorphic,
 )
 from .cr import _witnesses, is_basic
-from .detkit import max_subtournament_det, tournament_det
+from .detkit import in_dk_exactly, max_subtournament_det, tournament_det
 from .errors import InvalidArgumentError, ResourceLimitError
 from .lfamily import gen_ln
 
@@ -91,10 +91,7 @@ def _first_switching_copy(
     """First h.n-subset of t in lexicographic order inducing a
     subtournament switching-isomorphic to h, with the witness (w, phi)
     of ``switching_isomorphic`` for it; None when there is none."""
-    if t.n > kernels.SCAN_LIMIT:
-        raise ResourceLimitError(
-            f"subset scan of order {t.n} exceeds {kernels.SCAN_LIMIT}"
-        )
+    kernels._check_scan_order(t.n)
     # switching preserves determinants, so a cheap det filter first
     target = tournament_det(h)
     for sub in itertools.combinations(range(t.n), h.n):
@@ -374,8 +371,6 @@ def xi_blowup_check(t: Tournament, k: int) -> tuple[bool, bool]:
     k = int(k)
     if k < 7 or k % 2 == 0:
         raise InvalidArgumentError("k must be an odd integer >= 7")
-    from .detkit import in_dk_exactly
-
     if not in_dk_exactly(t, k):
         raise InvalidArgumentError(
             f"tournament is not in D_{k} \\ D_{k - 2}"

@@ -41,7 +41,12 @@ from .errors import (
     ResourceLimitError,
     TheoremViolationError,
 )
-from .lfamily import gen_ln, gen_ln_minus
+from .lfamily import (
+    gen_ln,
+    gen_ln_minus,
+    signature_from_text,
+    signature_to_sigma,
+)
 from .verify import available_suites, run_suite
 from .zmatrix import diagonal_vector, delta_total, row_sums, z_matrix
 
@@ -150,8 +155,6 @@ def _cmd_blowup(args) -> int:
 def _parse_sigma_arg(text: str):
     # relations come as '+-+' strings or as run-length text like '3,-2,1'
     if any(c.isdigit() for c in text):
-        from .lfamily import signature_from_text, signature_to_sigma
-
         return signature_to_sigma(signature_from_text(text))
     return sigma_from_string(text)
 

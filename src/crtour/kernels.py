@@ -80,12 +80,15 @@ def _as_i64(a) -> np.ndarray:
     return arr
 
 
+def _check_scan_order(n: int, what: str = "subset scan") -> None:
+    """The one scan-order policy: orders above SCAN_LIMIT are refused."""
+    if n > SCAN_LIMIT:
+        raise ResourceLimitError(f"{what} of order {n} exceeds {SCAN_LIMIT}")
+
+
 def _as_scan_input(s) -> np.ndarray:
     arr = _as_i64(s)
-    if arr.shape[0] > SCAN_LIMIT:
-        raise ResourceLimitError(
-            f"subset scan of order {arr.shape[0]} exceeds {SCAN_LIMIT}"
-        )
+    _check_scan_order(arr.shape[0])
     if arr.size and np.abs(arr).max() > 1:
         raise InvalidArgumentError("minor scans need entries in {-1, 0, 1}")
     if not np.array_equal(arr, -arr.T):

@@ -20,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _chain, _pm1_sequence, induced
+from . import kernels
+from .core import _chain, _pm1_sequence
 from .cr import extend
-from .detkit import tournament_det
 from .errors import InvalidArgumentError
 from .lfamily import gen_ln
 
@@ -183,17 +183,17 @@ def ln_deletion_det_check(n: int, sigma: Sequence[int]) -> bool:
     With u attached to L_n by sigma, deleting chain vertex v_i from the
     extension must leave determinant (a + b_i)^2, where a = -r_n and b
     is the row-sum vector of Z(n-1, (r_1..r_{n-1})).  True when the
-    identity holds for every i.
+    identity holds for every i.  Each determinant is Pf^2 of the
+    subset missing v_i, read from one Pfaffian table of the extension,
+    so n + 1 may not exceed ``kernels.SCAN_LIMIT``.
     """
     n = int(n)
     if n < 4 or n % 2 == 1:
         raise InvalidArgumentError("the identity is stated for even n >= 4")
     sig = _pm1_sequence(sigma, "sigma", n)
-    ext = extend(gen_ln(n), sig)
+    pf = kernels.pfaffian_table(extend(gen_ln(n), sig).skew)
+    full = (1 << (n + 1)) - 1
+    dets = pf[full ^ (1 << np.arange(n - 1))] ** 2
     b = row_sums(z_matrix(n - 1, sig[: n - 1]))
     a = -sig[n - 1]
-    for i in range(1, n):
-        keep = [v for v in range(n + 1) if v != i - 1]
-        if tournament_det(induced(ext, keep)) != (a + int(b[i - 1])) ** 2:
-            return False
-    return True
+    return bool(np.array_equal(dets, (a + b) ** 2))

@@ -2,9 +2,10 @@
 
 Nothing here shares code paths with the package, except that
 ``scan_cr_report`` decides each relation with the package's minor scan
-on the extended tournament: determinants come from the permutation
-expansion, scans from itertools, canonical forms and witnesses from
-plain brute force.
+on the extended tournament and ``ln_deletion_dets`` eliminates each
+deleted subtournament with the package's Bareiss determinant:
+determinants come from the permutation expansion, scans from
+itertools, canonical forms and witnesses from plain brute force.
 """
 
 from __future__ import annotations
@@ -14,7 +15,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from crtour import Tournament, switch, theta
+from crtour import (
+    Tournament,
+    extend,
+    gen_ln,
+    induced,
+    switch,
+    theta,
+    tournament_det,
+)
 
 
 @lru_cache(maxsize=None)
@@ -296,3 +305,13 @@ def b_diffs_by_runs(r) -> list[int]:
         else:
             out.append(delta - 2 * m)
     return out
+
+
+def ln_deletion_dets(n: int, sigma) -> list[int]:
+    """det of the extension L_n(u, sigma) with chain vertex v_i deleted,
+    for i = 1..n-1: one induced subtournament and one elimination each."""
+    ext = extend(gen_ln(n), sigma)
+    return [
+        tournament_det(induced(ext, [v for v in range(n + 1) if v != i]))
+        for i in range(n - 1)
+    ]

@@ -421,8 +421,7 @@ def test_emitting_verbs_take_no_json_flag(capsys, monkeypatch, argv):
 
 def test_strongcr_equiv_records_a_failed_implication(capsys, monkeypatch):
     # make one 3-tournament look non-CR while its blowups stay CR: the
-    # suite must report it with its .trn payload (exit 1), not end on
-    # is_strong_cr's theorem-violation error (exit 4)
+    # suite must report it with its .trn payload (exit 1)
     import dataclasses
 
     import numpy as np
@@ -445,4 +444,7 @@ def test_strongcr_equiv_records_a_failed_implication(capsys, monkeypatch):
     failures = json.loads(out)["reports"][0]["failures"]
     assert failures
     assert {f["tournament"] for f in failures} == {format_trn(target)}
-    assert any("strong_cr_error" in f for f in failures)
+    assert any(
+        f.get("blowups_cr") is True and f.get("base_cr") is False
+        for f in failures
+    )

@@ -100,6 +100,29 @@ def test_bareiss_exact_beyond_int64():
     assert det_exact(a) == d
 
 
+def test_every_scan_route_reads_one_order_guard(monkeypatch):
+    # lowering SCAN_LIMIT moves every route's cap with it: each route
+    # answers at its largest order and refuses the next one
+    from crtour import cr
+    from crtour.blowup import _first_switching_copy
+    from crtour.zmatrix import ln_deletion_det_check
+
+    monkeypatch.setattr(kernels, "SCAN_LIMIT", 5)
+    t = transitive_tournament
+    routes = [
+        (kernels.pfaffian_table, t(5).skew, t(6).skew),
+        (cr.cr_witness_table, t(5), t(6)),
+        (cr.is_cr_tournament, t(4), t(5)),  # extensions of order n + 1
+        (cr.is_strong_cr, t(3), t(4)),  # blowup extensions, n + 2
+        (lambda s: _first_switching_copy(s, t(2)), t(5), t(6)),
+        (lambda n: ln_deletion_det_check(n, (1,) * n), 4, 6),  # n + 1
+    ]
+    for route, largest, refused in routes:
+        route(largest)
+        with pytest.raises(ResourceLimitError):
+            route(refused)
+
+
 def test_minor_scans_refuse_orders_past_int64_bound():
     s = Tournament.from_bits(kernels.SCAN_LIMIT + 1, 0).skew
     with pytest.raises(ResourceLimitError):

@@ -1,11 +1,14 @@
 """Suite registry behaviour and a pass over every registered suite."""
 
+from collections import Counter
+
 import pytest
 
 from crtour import (
     InvalidArgumentError,
     ResourceLimitError,
     Tournament,
+    ln_deletion_det_check,
     parse_tournament,
     switch,
     tournament_det,
@@ -74,12 +77,29 @@ def test_d7_six_tournament_round_trips():
     assert parse_tournament(format_trn(t)) == t
 
 
-def test_zmatrix_props_orders_follow_max_n():
-    # odd m from 9 to max_n are sampled, 1000 sequences each
-    at15 = run_suite("zmatrix-props", max_n=15, seed=0)
-    at17 = run_suite("zmatrix-props", max_n=17, seed=0)
-    assert at15.passed and at17.passed
-    assert at17.checked == at15.checked + 1000
+def test_zmatrix_props_orders_follow_max_n(monkeypatch):
+    # every r of odd m up to min(7, max_n), 1000 sampled r at each odd
+    # m from 9 to max_n, and every relation of each even n up to
+    # min(10, max_n + 1) for the deletion identity
+    seen = []
+
+    def counted(n, sig):
+        seen.append(n)
+        return ln_deletion_det_check(n, sig)
+
+    monkeypatch.setattr("crtour.verify.ln_deletion_det_check", counted)
+
+    def run(max_n):
+        seen.clear()
+        rep = run_suite("zmatrix-props", max_n=max_n, seed=0)
+        assert rep.passed
+        return rep.checked, Counter(seen)
+
+    (checked3, at3), (checked15, at15) = run(3), run(15)
+    assert at3 == {4: 16}
+    assert at15 == {4: 16, 6: 64, 8: 256, 10: 1024}
+    assert checked15 == 16264
+    assert checked15 - checked3 == 2**5 + 2**7 + 4 * 1000 + (1360 - 16)
 
 
 def test_l8_strongcr_orders_follow_max_n():
@@ -132,6 +152,14 @@ def test_suite_reports_a_broken_route(monkeypatch, name, route, fake):
         law = "row_sum_at" if route == "_gamma" else "by_runs"
         assert all(f["m"] % 2 == 1 and len(f["r"]) == f["m"] for f in rep.failures)
         assert {law in f for f in rep.failures} == {True}
+    if route == "_gamma":
+        # the row-sum law breaks at every index of every r checked
+        # (m = 3, 5, 7 exhaustively, 1000 draws at m = 9); the report
+        # keeps the first 20 payloads and counts them all
+        count = 8 * 3 + 32 * 5 + 128 * 7 + 1000 * 9
+        assert len(rep.failures) == 20 and rep.failure_count == count
+        j = rep.to_json()
+        assert len(j["failures"]) == 20 and j["failure_count"] == count
 
 
 def test_d3_six_subs_orders():

@@ -8,6 +8,7 @@ import pytest
 
 from crtour import (
     InvalidArgumentError,
+    ResourceLimitError,
     all_sigmas,
     assemble_bordered,
     b_diff_predicted,
@@ -22,6 +23,7 @@ from crtour import (
     transitive_tournament,
     z_matrix,
 )
+from crtour import kernels, zmatrix
 
 import oracles
 
@@ -312,11 +314,19 @@ def test_schur_identity_unimodular_block():
 # --- deletion identity ---------------------------------------------------------
 
 
+def _predicted_deletion_dets(n, sig):
+    # (a + b_i)^2 with a = -r_n and b the row sums of Z(n-1, r_1..r_{n-1})
+    b = row_sums(z_matrix(n - 1, sig[: n - 1]))
+    return [(int(x) - sig[-1]) ** 2 for x in b]
+
+
 def test_deletion_identity_small_exhaustive():
-    for sig in all_sigmas(4):
-        assert ln_deletion_det_check(4, sig)
-    for sig in all_sigmas(6):
-        assert ln_deletion_det_check(6, sig)
+    # the elimination oracle's determinants are the predicted ones, and
+    # the check, which reads them from one Pfaffian table, agrees
+    for n in (4, 6):
+        for sig in all_sigmas(n):
+            assert oracles.ln_deletion_dets(n, sig) == _predicted_deletion_dets(n, sig)
+            assert ln_deletion_det_check(n, sig)
 
 
 def test_deletion_identity_random_large():
@@ -325,7 +335,34 @@ def test_deletion_identity_random_large():
         assert ln_deletion_det_check(n, (1,) * n)
         for _ in range(60):
             sig = tuple(rng.choice((1, -1)) for _ in range(n))
+            assert oracles.ln_deletion_dets(n, sig) == _predicted_deletion_dets(n, sig)
             assert ln_deletion_det_check(n, sig)
+
+
+def test_deletion_check_compares_every_deleted_vertex(monkeypatch):
+    # a + b_i is odd, so one row sum off by one changes its square: the
+    # check must fail whenever the shifted index is a chain vertex
+    real = zmatrix.row_sums
+    rng = random.Random(15)
+    for i in range(9):
+        monkeypatch.setattr(
+            zmatrix, "row_sums", lambda z, i=i: real(z) + (np.arange(z.m) == i)
+        )
+        for n in (4, 6, 8, 10):
+            sig = tuple(rng.choice((1, -1)) for _ in range(n))
+            assert ln_deletion_det_check(n, sig) == (i >= n - 1)
+
+
+def test_deletion_check_needs_no_elimination(monkeypatch):
+    def refuse(a):
+        raise AssertionError("bareiss_det called")
+
+    monkeypatch.setattr(kernels, "bareiss_det", refuse)
+    rng = random.Random(14)
+    for n in range(4, 15, 2):
+        assert ln_deletion_det_check(n, (1,) * n)
+        sig = tuple(rng.choice((1, -1)) for _ in range(n))
+        assert ln_deletion_det_check(n, sig)
 
 
 def test_deletion_identity_validation():
@@ -333,3 +370,6 @@ def test_deletion_identity_validation():
         ln_deletion_det_check(5, (1,) * 5)
     with pytest.raises(InvalidArgumentError):
         ln_deletion_det_check(4, (1, 1, 1))
+    with pytest.raises(ResourceLimitError):
+        # the extension of L_16 has order 17 > kernels.SCAN_LIMIT
+        ln_deletion_det_check(16, (1,) * 16)
