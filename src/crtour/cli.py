@@ -231,8 +231,9 @@ def _cmd_verify(args) -> int:
     else:
         for rep in reports:
             status = "pass" if rep.passed else "FAIL"
+            failed = "" if rep.passed else f"{rep.failure_count} failures, "
             print(
-                f"{rep.suite}: {status} ({rep.checked} checks, "
+                f"{rep.suite}: {status} ({failed}{rep.checked} checks, "
                 f"{rep.seconds:.2f}s, params {rep.params})"
             )
             for f in rep.failures[:5]:

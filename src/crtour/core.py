@@ -354,16 +354,14 @@ def enumerate_tournaments(
     reps = [Tournament(np.zeros((1, 1), np.int8))]
     for k in range(2, n + 1):
         seen: set[int] = set()
-        # theta(new, v_i) rows, one per set of vertices the new one beats
-        beaten = (np.arange(1 << (k - 1))[:, None] >> np.arange(k - 1)) & 1
-        rows = (2 * beaten - 1).astype(np.int8)
-        ext = np.zeros((k, k), np.int8)
+        new = 1 << (k - 1)
         for rep in reps:
-            ext[:-1, :-1] = rep.skew
-            for row in rows:
-                ext[-1, :-1] = row
-                ext[:-1, -1] = -row
-                seen.add(kernels.perm_min_encoding(ext))
+            beats = kernels._out_masks(rep.skew)
+            # b: the vertices the new one beats; the others beat it
+            for b in range(new):
+                ext = [w if b >> v & 1 else w | new for v, w in enumerate(beats)]
+                ext.append(b)
+                seen.add(kernels._search(ext)[0])
         reps = [Tournament.from_bits(k, code) for code in sorted(seen)]
     yield from reps
 

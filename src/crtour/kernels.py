@@ -37,7 +37,9 @@ products built on it, not because of overflow.
 
 The canonical code of a tournament is the least row-major upper-triangle
 bit string (bit (i, j) set when relabelled vertex i beats j) over all n!
-relabelings.  ``_canonical_search`` finds it without enumerating them.
+relabelings.  ``_canonical_search`` finds it without enumerating them:
+it reads each vertex's out-neighbourhood as a python-int bitmask (exact
+at any order) and hands the list to ``_search``.
 Row i is the most significant part still open once positions 0..i-1
 are fixed, so every minimal relabeling first minimises row 0, then row
 1, and so on.  A prefix leaves the unplaced vertices in ordered cells:
@@ -45,8 +47,9 @@ the positions that the prefix rows cannot yet tell apart.  Position i
 takes a member v of the first cell, and row i is least when every cell
 puts the vertices beating v (bit 0) before those v beats (bit 1).  So
 placing v splits each cell in two, and the row is the integer of the
-bits 0..0 1..1 per cell.  Each level keeps every placement, over all
-surviving prefixes, whose row equals the level minimum.  Prefixes with
+bits 0..0 1..1 per cell, known from popcounts alone.  Each level first
+scores every placement, over all surviving prefixes, and then splits
+cells only for those whose row equals the level minimum.  Prefixes with
 one code prefix share their cell widths, so their rows compare as
 plain ints.  After n-1 levels the minimum rows concatenate to the code.
 The surviving leaves are exactly the relabelings that reach it, and
@@ -270,42 +273,53 @@ def first_minor_above(s, bound: int) -> int:
     return _lex_first(masks[size[masks] == size[masks].min()])
 
 
+def _out_masks(s) -> list[int]:
+    """beats[v], the bitmask of the vertices v beats, in exact python ints."""
+    rows = (_as_i64(s) > 0).tolist()
+    return [sum(1 << u for u, b in enumerate(row) if b) for row in rows]
+
+
 def _canonical_search(s) -> tuple[int, int, tuple[int, ...]]:
     """(lex-min upper-triangle code, number of relabelings reaching it,
     one such relabeling as the vertex at each position) of a
-    tournament's skew matrix; see the module docstring.
+    tournament's skew matrix; see the module docstring."""
+    return _search(_out_masks(s))
 
-    A state is the prefix of vertices placed so far and the ordered
-    list of cells (bitmasks of unplaced vertices) it leaves; every
-    state's prefix is code-minimal.
-    """
-    arr = _as_i64(s)
-    n = arr.shape[0]
-    beats = [
-        sum(1 << u for u, b in enumerate(row) if b) for row in (arr > 0).tolist()
-    ]
+
+def _search(beats: list[int]) -> tuple[int, int, tuple[int, ...]]:
+    """``_canonical_search`` of the tournament in which vertex v beats
+    the vertices of bitmask ``beats[v]``.  A state is the prefix placed
+    so far and the ordered cells (bitmasks of unplaced vertices) it
+    leaves; every state's prefix is code-minimal.  Pass 1 scores every
+    (state, candidate) row from popcounts, pass 2 splits the cells only
+    of the pairs at the level minimum."""
+    n = len(beats)
     states = [((), [(1 << n) - 1])]
     code = 0
     for i in range(n - 1):
-        best, kept = -1, []
+        best, hits = -1, []
         for placed, (first, *rest) in states:
             cand = first
             while cand:
                 low = cand & -cand
                 cand ^= low
-                v = low.bit_length() - 1
-                wins = beats[v]
-                row, cells = 0, []
+                wins = beats[low.bit_length() - 1]
+                row = 0
                 for c in (first ^ low, *rest):
-                    won = c & wins
-                    row = (row << c.bit_count()) | ((1 << won.bit_count()) - 1)
-                    cells += [x for x in (c ^ won, won) if x]
+                    row = (row << c.bit_count()) | ((1 << (c & wins).bit_count()) - 1)
                 if row < best or best < 0:
-                    best, kept = row, [(placed + (v,), cells)]
+                    best, hits = row, [(placed, first, rest, low)]
                 elif row == best:
-                    kept.append((placed + (v,), cells))
+                    hits.append((placed, first, rest, low))
+        states = []
+        for placed, first, rest, low in hits:
+            v = low.bit_length() - 1
+            cells = []
+            for c in (first ^ low, *rest):
+                won = c & beats[v]
+                cells += [x for x in (c ^ won, won) if x]
+            states.append((placed + (v,), cells))
         code = (code << (n - 1 - i)) | best
-        states = kept
     placed, cells = states[0]
     return code, len(states), placed + tuple(c.bit_length() - 1 for c in cells if c)
 

@@ -164,16 +164,22 @@ def assemble_bordered(a: int, x: Sequence[int], y: Sequence[int]) -> np.ndarray:
 
 
 def bordered_det(a: int, x: Sequence[int], y: Sequence[int]) -> int:
-    """det of the bordered matrix, via the closed form
-    (a + x^t S^{-1} y)^2 over the explicit transitive inverse."""
+    """det of the bordered matrix, (a + x^t S^{-1} y)^2, the form over
+    the transitive inverse read in O(p) as sum_j (w_j U_j - u_j W_j):
+    u_i = (-1)^i x_i, w_i = (-1)^i y_i, U_j and W_j their sums below j."""
     a = int(a)
     if a not in (1, -1):
         raise InvalidArgumentError("a must be +-1")
-    xa = np.array(_pm1_sequence(x, "x"), np.int64)
-    ya = np.array(_pm1_sequence(y, "y", xa.size), np.int64)
-    if xa.size % 2 == 1:
+    xs = _pm1_sequence(x, "x")
+    ys = _pm1_sequence(y, "y", len(xs))
+    if len(xs) % 2 == 1:
         raise InvalidArgumentError("vectors must have even length")
-    val = a + int(xa @ transitive_inverse(xa.size) @ ya)
+    val, big_u, big_w = a, 0, 0
+    for j, (u, w) in enumerate(zip(xs, ys)):
+        if j % 2:
+            u, w = -u, -w
+        val += w * big_u - u * big_w
+        big_u, big_w = big_u + u, big_w + w
     return val * val
 
 

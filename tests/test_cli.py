@@ -187,6 +187,20 @@ def test_broken_zmatrix_law_exits_one(capsys, monkeypatch):
     assert "zmatrix-props: FAIL" in out and "'by_runs'" in out
 
 
+def test_verify_text_reports_failure_count(capsys, monkeypatch):
+    # with switching to transitive broken, every D_1 class fails the
+    # law; the text line carries the count, not just the first five
+    monkeypatch.setattr("crtour.verify.switching_to_transitive", lambda t: None)
+    code, out, _ = run_cli(capsys, "verify", "d1-diamond", "--max-n", "6", "--json")
+    report = json.loads(out)["reports"][0]
+    count = report["failure_count"]
+    assert code == 1 and count > 5
+    code, out, _ = run_cli(capsys, "verify", "d1-diamond", "--max-n", "6")
+    assert code == 1
+    assert f"d1-diamond: FAIL ({count} failures, {report['checked']} checks, " in out
+    assert out.count("counterexample") == 5
+
+
 def test_enumerate_count_and_classes(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "3", "--count")
     assert (code, out.strip()) == (0, "8")

@@ -500,6 +500,19 @@ def test_canonical_encoding_is_isomorphism_invariant():
         )
 
 
+def test_canonical_search_is_exact_above_order_63():
+    # out-neighbourhood bitmasks of 70 vertices pass 64 bits: int64
+    # masks would wrap and read L_70 as having 720 automorphisms
+    assert automorphism_count(gen_ln(70)) == 1
+    assert canonical_encoding(transitive_tournament(70)) == 0
+    rng = random.Random(70)
+    t = oracles.random_tournament(rng, 70)
+    moved = apply_permutation(t, rng.sample(range(70), 70))
+    assert canonical_encoding(t) == canonical_encoding(moved)
+    phi = is_isomorphic(t, moved)
+    assert phi is not None and apply_permutation(t, phi) == moved
+
+
 # --- formats ----------------------------------------------------------
 
 

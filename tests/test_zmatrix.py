@@ -245,6 +245,12 @@ def test_bordered_det_alternating_x_closed_form():
             assert bordered_det(a, x, y) == closed
 
 
+def _bordered_by_inverse(a, x, y):
+    """(a + x^t S^-1 y)^2 through the explicit p x p transitive inverse."""
+    inv = transitive_inverse(len(x))
+    return (a + int(np.array(x) @ inv @ np.array(y))) ** 2
+
+
 def test_bordered_det_matches_assembled_matrix():
     rng = random.Random(5)
     for p in (2, 4):
@@ -254,12 +260,15 @@ def test_bordered_det_matches_assembled_matrix():
                     s = assemble_bordered(a, x, y)
                     assert bordered_det(a, x, y) == det_exact(s)
                     assert det_exact(s) == oracles.det_leibniz(s)
+                    assert bordered_det(a, x, y) == _bordered_by_inverse(a, x, y)
     for p in (6, 8, 10):
         for _ in range(100):
             a = rng.choice((1, -1))
             x = tuple(rng.choice((1, -1)) for _ in range(p))
             y = tuple(rng.choice((1, -1)) for _ in range(p))
-            assert bordered_det(a, x, y) == det_exact(assemble_bordered(a, x, y))
+            got = bordered_det(a, x, y)
+            assert got == det_exact(assemble_bordered(a, x, y))
+            assert got == _bordered_by_inverse(a, x, y)
 
 
 def test_bordered_det_rejects_odd_p():
