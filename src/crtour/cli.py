@@ -152,16 +152,20 @@ def _cmd_blowup(args) -> int:
     return 0
 
 
-def _parse_sigma_arg(text: str):
-    # relations come as '+-+' strings or as run-length text like '3,-2,1'
+def _parse_sigma_arg(text: str, n: int):
+    # relations come as '+-+' strings or as run-length text like '3,-2,1';
+    # run lengths are checked against the order before they are expanded
     if any(c.isdigit() for c in text):
-        return signature_to_sigma(signature_from_text(text))
+        runs = signature_from_text(text)
+        if sum(map(abs, runs)) != n:
+            raise InvalidArgumentError(f"sigma must have length {n}")
+        return signature_to_sigma(runs)
     return sigma_from_string(text)
 
 
 def _cmd_extend(args) -> int:
     t = _read_tournament(args.file)
-    _emit_tournament(extend(t, _parse_sigma_arg(args.sigma)), args)
+    _emit_tournament(extend(t, _parse_sigma_arg(args.sigma, t.n)), args)
     return 0
 
 

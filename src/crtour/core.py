@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import config, kernels
+from . import kernels
 from .errors import InvalidArgumentError, ResourceLimitError
 
 
@@ -149,10 +149,13 @@ def transitive_tournament(n: int) -> Tournament:
 def _pm1_sequence(
     seq: Sequence[int], name: str, length: Optional[int] = None
 ) -> tuple[int, ...]:
-    """``seq`` as ints, checked nonempty +-1 (and of ``length``)."""
-    sig = tuple(int(v) for v in seq)
-    if not sig or any(v not in (1, -1) for v in sig):
+    """``seq`` as ints, checked nonempty +-1 (and of ``length``).  The
+    raw values are tested before the cast, so 1.7 is refused, not
+    truncated to 1."""
+    sig = tuple(seq)
+    if not sig or not all(v == 1 or v == -1 for v in sig):
         raise InvalidArgumentError(f"{name} must be a nonempty +-1 sequence")
+    sig = tuple(map(int, sig))
     if length is not None and len(sig) != length:
         raise InvalidArgumentError(f"{name} must have length {length}")
     return sig
@@ -326,9 +329,12 @@ def automorphism_count(t: Tournament) -> int:
     return kernels.perm_aut_count(t.skew)
 
 
-def enumerate_tournaments(
-    n: int, classes: bool = False, cap: Optional[int] = None
-) -> Iterator[Tournament]:
+# largest order enumerate_tournaments streams: 6,880 classes, or 2^28
+# labeled tournaments
+ENUM_LIMIT = 8
+
+
+def enumerate_tournaments(n: int, classes: bool = False) -> Iterator[Tournament]:
     """All labeled tournaments of order n, or one representative per
     isomorphism class when ``classes`` is set.
 
@@ -340,11 +346,9 @@ def enumerate_tournaments(
     """
     if n < 1:
         raise InvalidArgumentError("order must be positive")
-    limit = config.enum_cap() if cap is None else cap
-    if n > limit:
+    if n > ENUM_LIMIT:
         raise ResourceLimitError(
-            f"enumeration of order {n} exceeds cap {limit} "
-            f"(set CRTOUR_MAX_N to raise)"
+            f"enumeration of order {n} exceeds the cap {ENUM_LIMIT}"
         )
     if not classes:
         m = n * (n - 1) // 2

@@ -10,7 +10,7 @@ class InvalidArgumentError(CrtourError, ValueError):
 
 
 class ResourceLimitError(CrtourError, RuntimeError):
-    """A request exceeds a configured size cap."""
+    """A request exceeds a fixed size cap."""
 
 
 class TheoremViolationError(CrtourError):

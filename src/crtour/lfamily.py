@@ -68,24 +68,34 @@ def sigma_to_signature(sigma: Sequence[int]) -> Signature:
     return tuple(runs)
 
 
-def signature_to_sigma(signature: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of sigma_to_signature."""
-    runs = tuple(int(a) for a in signature)
+def _runs(signature: Sequence[int]) -> Signature:
+    """``signature`` as ints, checked nonzero, integral and alternating
+    in sign.  Nothing is expanded, so a run of 10^20 costs no memory."""
+    raw = tuple(signature)
+    try:
+        runs = tuple(map(int, raw))
+    except (TypeError, ValueError, OverflowError):
+        runs = None
+    if runs != raw:  # 2.5 would truncate to 2
+        raise InvalidArgumentError("signature runs must be integers")
     if not runs or any(a == 0 for a in runs):
         raise InvalidArgumentError("signature runs must be nonzero")
     if any(runs[i] * runs[i + 1] > 0 for i in range(len(runs) - 1)):
         raise InvalidArgumentError("signature runs must alternate in sign")
+    return runs
+
+
+def signature_to_sigma(signature: Sequence[int]) -> tuple[int, ...]:
+    """Inverse of sigma_to_signature."""
     out = []
-    for a in runs:
+    for a in _runs(signature):
         out.extend([1 if a > 0 else -1] * abs(a))
     return tuple(out)
 
 
 def signature_to_text(signature: Sequence[int]) -> str:
     """'3,-2,1' text form of a signature."""
-    sig = tuple(int(a) for a in signature)
-    signature_to_sigma(sig)  # validates alternation
-    return ",".join(str(a) for a in sig)
+    return ",".join(str(a) for a in _runs(signature))
 
 
 def signature_from_text(text: str) -> Signature:
@@ -93,8 +103,7 @@ def signature_from_text(text: str) -> Signature:
         runs = tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise InvalidArgumentError(f"bad signature text {text!r}") from exc
-    signature_to_sigma(runs)
-    return runs
+    return _runs(runs)
 
 
 def psi(t: Tournament, u: int, x: Sequence[int]) -> Signature:

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import config, kernels
+from . import kernels
 from .core import (
     Tournament,
     _anchored_switch_sets,
@@ -95,9 +95,7 @@ _class_cache: dict[int, tuple[Tournament, ...]] = {}
 
 def _classes(n: int) -> tuple[Tournament, ...]:
     if n not in _class_cache:
-        _class_cache[n] = tuple(
-            enumerate_tournaments(n, classes=True, cap=max(n, config.enum_cap()))
-        )
+        _class_cache[n] = tuple(enumerate_tournaments(n, classes=True))
     return _class_cache[n]
 
 
@@ -149,15 +147,16 @@ def _random_blowup(
 
 SuiteFn = Callable[[int, int], tuple[int, list, dict]]
 
-_SUITES: dict[str, tuple[SuiteFn, int, int]] = {}
+# name -> (suite, least max_n with something to check, default, cap)
+_SUITES: dict[str, tuple[SuiteFn, int, int, int]] = {}
 
 # failure payloads a report keeps; failure_count counts them all
 _KEPT_FAILURES = 20
 
 
-def _suite(name: str, default_max_n: int, hard_cap: int):
+def _suite(name: str, min_max_n: int, default_max_n: int, hard_cap: int):
     def register(fn: SuiteFn) -> SuiteFn:
-        _SUITES[name] = (fn, default_max_n, hard_cap)
+        _SUITES[name] = (fn, min_max_n, default_max_n, hard_cap)
         return fn
 
     return register
@@ -198,11 +197,12 @@ def run_suite(name: str, max_n: Optional[int] = None, seed: int = 0) -> SuiteRep
         raise InvalidArgumentError(
             f"unknown suite {name!r}; available: {', '.join(available_suites())}"
         )
-    fn, default_max_n, hard_cap = _SUITES[name]
+    fn, min_max_n, default_max_n, hard_cap = _SUITES[name]
     n = default_max_n if max_n is None else int(max_n)
-    if n < 1:
+    if n < min_max_n:
         raise InvalidArgumentError(
-            f"suite {name} checks nothing at max_n={n}; it needs max_n >= 1"
+            f"suite {name} checks nothing at max_n={n}; "
+            f"it needs max_n >= {min_max_n}"
         )
     if n > hard_cap:
         raise ResourceLimitError(
@@ -211,7 +211,7 @@ def run_suite(name: str, max_n: Optional[int] = None, seed: int = 0) -> SuiteRep
     start = time.perf_counter()
     checked, failures, params = fn(n, int(seed))
     seconds = time.perf_counter() - start
-    if checked == 0:
+    if checked == 0:  # a min_max_n declared too low
         raise InvalidArgumentError(
             f"suite {name} checks nothing at max_n={n}"
         )
@@ -224,7 +224,7 @@ def run_suite(name: str, max_n: Optional[int] = None, seed: int = 0) -> SuiteRep
 # suites
 
 
-@_suite("d1-diamond", default_max_n=6, hard_cap=7)
+@_suite("d1-diamond", min_max_n=1, default_max_n=6, hard_cap=7)
 def _d1_diamond(max_n: int, seed: int):
     """D_1 <=> diamond-free <=> switching equivalent to transitive."""
     checked, failures = 0, []
@@ -245,7 +245,7 @@ def _d1_diamond(max_n: int, seed: int):
     return checked, failures, {}
 
 
-@_suite("d3-six-subs", default_max_n=10, hard_cap=kernels.SCAN_LIMIT)
+@_suite("d3-six-subs", min_max_n=8, default_max_n=10, hard_cap=kernels.SCAN_LIMIT)
 def _d3_six_subs(max_n: int, seed: int):
     """Membership in D_3 is decided by the 6-vertex subtournaments.
 
@@ -253,8 +253,6 @@ def _d3_six_subs(max_n: int, seed: int):
     sides are one predicate; the suite samples orders 8..max_n:
     switched transitive blowups of L_4, which lie in D_3, every second
     one with an arc flipped, which often takes it out."""
-    if max_n < 8:
-        return 0, [], {}  # no order where the law has content
     rng = random.Random(seed)
     base = gen_ln(4)
     checked, failures, in_d3 = 0, [], 0
@@ -273,11 +271,9 @@ def _d3_six_subs(max_n: int, seed: int):
     return checked, failures, {"samples": 1000, "in_d3": in_d3}
 
 
-@_suite("d5-blowup", default_max_n=9, hard_cap=10)
+@_suite("d5-blowup", min_max_n=6, default_max_n=9, hard_cap=10)
 def _d5_blowup(max_n: int, seed: int):
     """D_5 \\ D_3 membership coincides with decomposability over L_6."""
-    if max_n < 6:
-        return 0, [], {}  # every blowup of L_6 has order >= 6
     rng = random.Random(seed)
     base = gen_ln(6)
     checked, failures = 0, []
@@ -294,7 +290,7 @@ def _d5_blowup(max_n: int, seed: int):
     return checked, failures, {"samples": 1000}
 
 
-@_suite("det-sw-invariance", default_max_n=6, hard_cap=8)
+@_suite("det-sw-invariance", min_max_n=1, default_max_n=6, hard_cap=8)
 def _det_sw_invariance(max_n: int, seed: int):
     """Switching changes no subtournament determinant, subset by subset:
     every switch of every class to order 5, then 1000 random switches
@@ -321,7 +317,7 @@ def _det_sw_invariance(max_n: int, seed: int):
     return checked, failures, {"samples": 1000}
 
 
-@_suite("cr-assoc-sw", default_max_n=6, hard_cap=7)
+@_suite("cr-assoc-sw", min_max_n=2, default_max_n=6, hard_cap=7)
 def _cr_assoc_sw(max_n: int, seed: int):
     """CR-association between two vertices survives any switch."""
     checked, failures = 0, []
@@ -342,7 +338,7 @@ def _cr_assoc_sw(max_n: int, seed: int):
     return checked, failures, {}
 
 
-@_suite("cr-pred-sw", default_max_n=5, hard_cap=6)
+@_suite("cr-pred-sw", min_max_n=1, default_max_n=5, hard_cap=6)
 def _cr_pred_sw(max_n: int, seed: int):
     """is_basic / is_cr_tournament / is_strong_cr are switching invariants."""
     rng = random.Random(seed)
@@ -385,7 +381,7 @@ def _cr_pred_sw(max_n: int, seed: int):
     }
 
 
-@_suite("strongcr-equiv", default_max_n=5, hard_cap=6)
+@_suite("strongcr-equiv", min_max_n=1, default_max_n=5, hard_cap=6)
 def _strongcr_equiv(max_n: int, seed: int):
     """All 1-transitive blowups CR forces the base tournament CR."""
     checked, failures = 0, []
@@ -404,7 +400,7 @@ def _strongcr_equiv(max_n: int, seed: int):
     return checked, failures, {}
 
 
-@_suite("basic-not-d1", default_max_n=6, hard_cap=7)
+@_suite("basic-not-d1", min_max_n=4, default_max_n=6, hard_cap=7)
 def _basic_not_d1(max_n: int, seed: int):
     """A basic tournament never lies in D_1."""
     checked, failures = 0, []
@@ -416,7 +412,7 @@ def _basic_not_d1(max_n: int, seed: int):
     return checked, failures, {}
 
 
-@_suite("noncr-nondecomp", default_max_n=8, hard_cap=9)
+@_suite("noncr-nondecomp", min_max_n=6, default_max_n=8, hard_cap=9)
 def _noncr_nondecomp(max_n: int, seed: int):
     """Attaching a non-CR vertex to a transitive blowup of a basic base
     leaves nothing switching equivalent to a transitive blowup of it."""
@@ -453,12 +449,10 @@ def _noncr_nondecomp(max_n: int, seed: int):
     return checked, failures, {"samples": 1000, "brute_checked": brute_checked}
 
 
-@_suite("cr-order3", default_max_n=3, hard_cap=3)
+@_suite("cr-order3", min_max_n=3, default_max_n=3, hard_cap=3)
 def _cr_order3(max_n: int, seed: int):
     """Both 3-tournaments are CR, each with exactly two non-CR
     relations whose extensions have determinant 9."""
-    if max_n < 3:
-        return 0, [], {}  # both 3-tournaments exceed max_n
     checked, failures = 0, []
     for t in _classes(3):
         checked += 1
@@ -487,13 +481,13 @@ def _ln_basic_strong_cr(orders: list[int]) -> tuple[int, list]:
     return len(orders), failures
 
 
-@_suite("l4l6-strongcr", default_max_n=6, hard_cap=6)
+@_suite("l4l6-strongcr", min_max_n=4, default_max_n=6, hard_cap=6)
 def _l4l6_strongcr(max_n: int, seed: int):
     """L_4 and L_6 are basic strong CR tournaments."""
     return *_ln_basic_strong_cr([n for n in (4, 6) if n <= max_n]), {}
 
 
-@_suite("ln-cr-formula", default_max_n=8, hard_cap=10)
+@_suite("ln-cr-formula", min_max_n=4, default_max_n=8, hard_cap=10)
 def _ln_cr_formula(max_n: int, seed: int):
     """Run-count prediction equals direct CR detection for extensions
     of L_n and L_n^-, all relations, even n."""
@@ -519,18 +513,16 @@ def _ln_cr_formula(max_n: int, seed: int):
     return checked, failures, {}
 
 
-@_suite("l8-strongcr", default_max_n=8, hard_cap=14)
+@_suite("l8-strongcr", min_max_n=8, default_max_n=8, hard_cap=14)
 def _l8_strongcr(max_n: int, seed: int):
     """L_8 (and L_10, L_12, L_14 as max_n allows) is basic strong CR."""
     orders = [n for n in (8, 10, 12, 14) if n <= max_n]
     return *_ln_basic_strong_cr(orders), {"orders": orders}
 
 
-@_suite("t6-det25", default_max_n=6, hard_cap=6)
+@_suite("t6-det25", min_max_n=6, default_max_n=6, hard_cap=6)
 def _t6_det25(max_n: int, seed: int):
     """A 6-tournament is switching isomorphic to L_6 iff det = 25."""
-    if max_n < 6:
-        return 0, [], {}  # every 6-tournament exceeds max_n
     l6 = gen_ln(6)
     checked, failures = 0, []
     for t in _classes(6):
@@ -542,11 +534,9 @@ def _t6_det25(max_n: int, seed: int):
     return checked, failures, {}
 
 
-@_suite("ninedet", default_max_n=6, hard_cap=7)
+@_suite("ninedet", min_max_n=2, default_max_n=6, hard_cap=7)
 def _ninedet(max_n: int, seed: int):
     """Blowing one vertex into a 3-cycle multiplies det by exactly 9."""
-    if max_n < 2:
-        return 0, [], {}  # no order >= 2 to sample from
     rng = random.Random(seed)
     cycle = Tournament(
         np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], np.int8)
@@ -566,7 +556,7 @@ def _ninedet(max_n: int, seed: int):
     return checked, failures, {"samples": 1000}
 
 
-@_suite("xi-decomp", default_max_n=11, hard_cap=12)
+@_suite("xi-decomp", min_max_n=6, default_max_n=11, hard_cap=12)
 def _xi_decomp(max_n: int, seed: int):
     """Inside the exact determinant class of L_8, xi-membership and
     switched-transitive-blowup structure coincide; the order-6
@@ -581,11 +571,10 @@ def _xi_decomp(max_n: int, seed: int):
         checked += 1
         if xi_blowup_check(t, 7) != (True, True):
             failures.append(_fail(t, expected=(True, True)))
-    if max_n >= 6:
-        t6 = d7_six_tournament()
-        checked += 1
-        if xi_blowup_check(t6, 7) != (False, False):
-            failures.append(_fail(t6, expected=(False, False)))
+    t6 = d7_six_tournament()
+    checked += 1
+    if xi_blowup_check(t6, 7) != (False, False):
+        failures.append(_fail(t6, expected=(False, False)))
     return checked, failures, {"samples": samples}
 
 
@@ -597,7 +586,7 @@ def _delta_by_runs(r: tuple[int, ...]) -> int:
     return 2 * r[0] * sum((-1) ** (d + i) for i, d in enumerate(odd))
 
 
-@_suite("zmatrix-props", default_max_n=15, hard_cap=21)
+@_suite("zmatrix-props", min_max_n=1, default_max_n=15, hard_cap=21)
 def _zmatrix_props(max_n: int, seed: int):
     """Row sums against the diagonal vectors, diagonal steps, total step
     against the odd-run formula, boundary differences, bordered

@@ -1,10 +1,14 @@
 """The benchmark in ``perfbench/`` looks crtour up by name: every span
 in ``tracer.TRACED``, every ``Job.api`` of its workloads and every
 attribute ``run.py`` reads off the package must resolve, or a
-benchmark run fails where tier-1 passed."""
+benchmark run fails where tier-1 passed.  One traced round of each
+workload must also run clean, since a run exits 1 on anything that
+raises outside a job: an open span, a count JSON cannot take, or an
+answer the digest cannot normalise."""
 
 import importlib
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -58,3 +62,41 @@ def test_workload_apis_resolve(perfbench):
         assert jobs
         for api in {job.api for job in jobs}:
             assert callable(_resolve(*api.split("."))), f"{name}: {api}"
+
+
+# seed-1 answer digests; a change here means a changed answer
+SEED1_DIGESTS = {
+    "cr-definition": "b88a05f9bac431fe",
+    "class-census": "9f0430bbc4b95da1",
+    "decompose-witness": "2b82d30a261cf161",
+}
+
+
+@pytest.fixture
+def run(perfbench):
+    # run.py sets thread and bytecode variables on import; put them back
+    env = dict(os.environ)
+    try:
+        yield importlib.import_module("run")
+    finally:
+        os.environ.clear()
+        os.environ.update(env)
+
+
+@pytest.mark.parametrize("name", sorted(SEED1_DIGESTS))
+def test_one_traced_round(perfbench, run, name):
+    import crtour
+
+    tracer, workloads = perfbench
+    jobs = workloads.build(name, crtour, 1)
+    spans = tracer.Tracer("crtour")
+    spans.install()
+    try:
+        rnd = run.run_round(jobs, None, spans)
+    finally:
+        spans.uninstall()
+    assert rnd["errors"] == {}
+    assert run.check_round(jobs, rnd["answers"], rnd["errors"]) == []
+    summary = spans.summary()  # raises on a span left open
+    json.dumps([summary["calls"], summary["counts"]])
+    assert run.digest(rnd["answers"], rnd["errors"]) == SEED1_DIGESTS[name]

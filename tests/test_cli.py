@@ -6,8 +6,9 @@ import json
 import pytest
 
 from crtour import format_skew, format_trn, gen_ln, parse_tournament
+from crtour import verify as verify_mod
 from crtour.cli import main
-from crtour.verify import d7_six_tournament
+from crtour.verify import available_suites, d7_six_tournament, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -154,14 +155,12 @@ def test_verify_comma_list_parallel(capsys):
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    from crtour import verify as verify_mod
-
     def broken(max_n, seed):
         from crtour import format_trn, gen_ln
 
         return 1, [{"tournament": format_trn(gen_ln(4)), "why": "synthetic"}], {}
 
-    monkeypatch.setitem(verify_mod._SUITES, "synthetic-fail", (broken, 4, 4))
+    monkeypatch.setitem(verify_mod._SUITES, "synthetic-fail", (broken, 1, 4, 4))
     code, out, _ = run_cli(capsys, "verify", "synthetic-fail")
     assert code == 1
     assert "FAIL" in out and "counterexample" in out
@@ -253,7 +252,17 @@ def test_bad_sigma_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
-def test_malformed_numbers_are_usage_errors(capsys, monkeypatch):
+@pytest.mark.parametrize("sigma", ["99999999999999999999", "5000000000"])
+def test_run_form_sigma_is_checked_before_expanding(capsys, tmp_path, sigma):
+    # a run of 10^20 overflowed the expansion and one of 5*10^9 filled
+    # memory; the run lengths are summed and refused first
+    f = tmp_path / "c.trn"
+    f.write_text("3\n111\n")
+    code, out, err = run_cli(capsys, "extend", str(f), "--sigma", sigma)
+    assert (code, out, err) == (2, "", "error: sigma must have length 3\n")
+
+
+def test_malformed_numbers_are_usage_errors(capsys):
     for argv in (
         ("blowup", "ln:x", "--sizes", "1,1,1,1"),
         ("blowup", "ln:4", "--sizes", "2,x,1,1"),
@@ -261,10 +270,6 @@ def test_malformed_numbers_are_usage_errors(capsys, monkeypatch):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
-    monkeypatch.setenv("CRTOUR_MAX_N", "abc")
-    code, _, err = run_cli(capsys, "enumerate", "4", "--count")
-    assert code == 2
-    assert err.startswith("error: ") and "CRTOUR_MAX_N" in err
 
 
 def test_unreadable_input_is_usage_error(capsys, tmp_path):
@@ -304,6 +309,45 @@ def test_suite_checks_no_order_above_max_n(capsys, suite, max_n):
     assert code == 2
     assert out == ""
     assert "checks nothing" in err
+
+
+# the least max_n at which each suite has something to check
+SUITE_MINIMA = {
+    "d1-diamond": 1,
+    "det-sw-invariance": 1,
+    "cr-pred-sw": 1,
+    "strongcr-equiv": 1,
+    "zmatrix-props": 1,
+    "cr-assoc-sw": 2,
+    "ninedet": 2,
+    "cr-order3": 3,
+    "basic-not-d1": 4,
+    "l4l6-strongcr": 4,
+    "ln-cr-formula": 4,
+    "d5-blowup": 6,
+    "t6-det25": 6,
+    "xi-decomp": 6,  # its order-6 negative instance
+    "noncr-nondecomp": 6,  # every relation of L_4 itself is CR
+    "d3-six-subs": 8,
+    "l8-strongcr": 8,
+}
+
+
+@pytest.mark.parametrize("name", available_suites())
+def test_suite_declares_its_least_max_n(capsys, monkeypatch, name):
+    fn, least, default, cap = verify_mod._SUITES[name]
+    assert least == SUITE_MINIMA[name]
+
+    def never(max_n, seed):
+        raise AssertionError(f"{name} ran at max_n={max_n}")
+
+    # refused before the suite is called, naming the order it needs
+    monkeypatch.setitem(verify_mod._SUITES, name, (never, least, default, cap))
+    code, out, err = run_cli(capsys, "verify", name, "--max-n", str(least - 1))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and f"it needs max_n >= {least}\n" in err
+    monkeypatch.undo()
+    assert run_suite(name, max_n=least, seed=0).checked > 0
 
 
 def test_small_max_n_is_usage_error(capsys):

@@ -13,6 +13,7 @@ from crtour import (
     ResourceLimitError,
     Tournament,
     apply_permutation,
+    bordered_det,
     canonical_encoding,
     enumerate_tournaments,
     extend,
@@ -32,9 +33,10 @@ from crtour import (
     tournament_det,
     transitive_blowup,
     transitive_tournament,
+    z_matrix,
 )
 from crtour.blowup import blowup
-from crtour.core import _chain, automorphism_count
+from crtour.core import ENUM_LIMIT, _chain, _pm1_sequence, automorphism_count
 
 import oracles
 
@@ -131,6 +133,24 @@ def test_induced_rejects_out_of_range_vertices():
     for verts in ([-1], [t.n], [0, 2, t.n], [-1, 0, 1]):
         with pytest.raises(InvalidArgumentError):
             induced(t, verts)
+
+
+# --- +-1 sequences ------------------------------------------------------
+
+
+def test_pm1_entries_are_tested_before_the_cast():
+    ok = (1, -1, 1.0, True, np.int64(-1), np.int8(1))
+    assert _pm1_sequence(ok, "r") == (1, -1, 1, 1, -1, 1)
+    for bad in (1.7, 2, "1"):
+        with pytest.raises(InvalidArgumentError):
+            _pm1_sequence((1, bad), "r")
+    # each of these truncated 1.x to 1 and returned an answer
+    with pytest.raises(InvalidArgumentError):
+        extend(gen_ln(2), (1.7, -1.3))
+    with pytest.raises(InvalidArgumentError):
+        z_matrix(3, (1.2, -1.4, 1.9))
+    with pytest.raises(InvalidArgumentError):
+        bordered_det(1, (1.5, -1.5), (1, 1))
 
 
 # --- is_transitive ----------------------------------------------------
@@ -408,19 +428,14 @@ def test_enumerate_order8_classes():
     assert total == 1 << 28
 
 
-def test_enumerate_rejects_beyond_cap():
+def test_enumerate_rejects_beyond_cap(monkeypatch):
+    # the cap is fixed: the environment variable that once raised it
+    # is ignored
+    monkeypatch.setenv("CRTOUR_MAX_N", "9")
     with pytest.raises(ResourceLimitError):
-        list(enumerate_tournaments(9))
+        list(enumerate_tournaments(ENUM_LIMIT + 1))
     with pytest.raises(InvalidArgumentError):
         list(enumerate_tournaments(0))
-
-
-def test_enum_cap_env_override(monkeypatch):
-    monkeypatch.setenv("CRTOUR_MAX_N", "3")
-    with pytest.raises(ResourceLimitError):
-        list(enumerate_tournaments(4))
-    monkeypatch.setenv("CRTOUR_MAX_N", "9")
-    assert sum(1 for _ in enumerate_tournaments(4)) == 64
 
 
 def test_automorphism_count_matches_bruteforce():

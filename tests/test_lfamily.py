@@ -127,6 +127,8 @@ def test_signature_codec_examples():
         signature_to_sigma((2, 1))
     with pytest.raises(InvalidArgumentError):
         signature_to_sigma((2, 0, -1))
+    with pytest.raises(InvalidArgumentError):
+        signature_to_sigma((2.5, -1))  # was truncated to (2, -1)
 
 
 @given(st.lists(st.sampled_from((1, -1)), min_size=1, max_size=20))
@@ -146,6 +148,10 @@ def test_signature_text_form():
         signature_from_text("3,2")
     with pytest.raises(InvalidArgumentError):
         signature_from_text("x,1")
+    with pytest.raises(InvalidArgumentError):
+        signature_to_text((2.5, -1))
+    # validated without expanding the runs
+    assert signature_from_text("99999999999999999999") == (10**20 - 1,)
 
 
 def test_even_rule_examples():
