@@ -7,7 +7,10 @@ labels.  Tournaments are immutable values: every operation returns a
 new object and is safe to evaluate concurrently.  The constructor
 validates the matrix it is given; operations whose results follow from
 tournaments already validated build them with ``Tournament._derived``,
-which skips the check.
+which skips the check.  The class representatives that
+``enumerate_tournaments`` yields also carry the (code, |Aut|, leaf)
+their enumeration's canonical search found; nothing else does, and
+nothing is cached after construction.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import InvalidArgumentError, ResourceLimitError
 class Tournament:
     """Immutable tournament on vertices 0..n-1."""
 
-    __slots__ = ("_skew",)
+    __slots__ = ("_skew", "_canon")
 
     def __init__(self, skew) -> None:
         arr = np.asarray(skew)
@@ -53,6 +56,7 @@ class Tournament:
             )
         arr.setflags(write=False)
         self._skew = arr
+        self._canon = None
 
     @classmethod
     def _derived(cls, skew) -> "Tournament":
@@ -66,6 +70,7 @@ class Tournament:
         arr.setflags(write=False)
         t = cls.__new__(cls)
         t._skew = arr
+        t._canon = None
         return t
 
     @property
@@ -231,6 +236,13 @@ def apply_permutation(t: Tournament, phi: Sequence[int]) -> Tournament:
     return Tournament._derived(arr)
 
 
+def _canonical(t: Tournament) -> tuple[int, int, tuple[int, ...]]:
+    """(canonical code, |Aut|, one leaf) of t: carried by the class
+    representatives ``enumerate_tournaments`` yields, searched for
+    every other tournament (see ``kernels._canonical_search``)."""
+    return t._canon or kernels._canonical_search(t.skew)
+
+
 def _leaf_map(o1: Sequence[int], o2: Sequence[int]) -> tuple[int, ...]:
     """The relabeling sending the vertex at each position of leaf o1 to
     the vertex at the same position of leaf o2."""
@@ -247,8 +259,8 @@ def is_isomorphic(t1: Tournament, t2: Tournament) -> Optional[tuple[int, ...]]:
     """
     if t1.n != t2.n:
         return None
-    code1, _, o1 = kernels._canonical_search(t1.skew)
-    code2, _, o2 = kernels._canonical_search(t2.skew)
+    code1, _, o1 = _canonical(t1)
+    code2, _, o2 = _canonical(t2)
     if code1 != code2:
         return None
     res = _leaf_map(o1, o2)
@@ -300,10 +312,10 @@ def switching_isomorphic(
     if t1.n != t2.n:
         return None
     w1 = _dominant_switch_set(t1, 0)
-    code1, _, o1 = kernels._canonical_search(switch(t1, w1).skew)
+    code1, _, o1 = _canonical(switch(t1, w1))
     for u in range(t2.n):
         w2 = _dominant_switch_set(t2, u)
-        code2, _, o2 = kernels._canonical_search(switch(t2, w2).skew)
+        code2, _, o2 = _canonical(switch(t2, w2))
         if code2 != code1:
             continue
         phi = _leaf_map(o1, o2)
@@ -322,16 +334,24 @@ def is_diamond(t: Tournament) -> bool:
 def canonical_encoding(t: Tournament) -> int:
     """Lexicographically minimal orientation bit-string over all
     relabelings, as an integer (isomorphism invariant)."""
-    return kernels.perm_min_encoding(t.skew)
+    return _canonical(t)[0]
 
 
 def automorphism_count(t: Tournament) -> int:
-    return kernels.perm_aut_count(t.skew)
+    return _canonical(t)[1]
 
 
 # largest order enumerate_tournaments streams: 6,880 classes, or 2^28
 # labeled tournaments
 ENUM_LIMIT = 8
+
+
+def _representative(n: int, code: int, aut: int) -> Tournament:
+    """The class representative of order n whose bits are the canonical
+    ``code``, carrying (code, aut, identity leaf)."""
+    t = Tournament.from_bits(n, code)
+    t._canon = (code, aut, tuple(range(n)))
+    return t
 
 
 def enumerate_tournaments(n: int, classes: bool = False) -> Iterator[Tournament]:
@@ -342,7 +362,12 @@ def enumerate_tournaments(n: int, classes: bool = False) -> Iterator[Tournament]
     ascending encoding order.  Generation is by vertex extension:
     every class of order k restricts to a class of order k-1, so
     extending each representative by all 2^(k-1) new-vertex rows and
-    deduplicating canonically covers everything.
+    deduplicating canonically covers everything.  Each representative
+    also carries what that deduplicating search found: its own code,
+    |Aut| and the identity leaf, which is exactly what a fresh search
+    of it returns (see ``kernels``).  So ``canonical_encoding``,
+    ``automorphism_count`` and ``is_isomorphic`` answer for it without
+    searching again.
     """
     if n < 1:
         raise InvalidArgumentError("order must be positive")
@@ -355,9 +380,9 @@ def enumerate_tournaments(n: int, classes: bool = False) -> Iterator[Tournament]
         for val in range(1 << m):
             yield Tournament.from_bits(n, val)
         return
-    reps = [Tournament(np.zeros((1, 1), np.int8))]
+    reps = [_representative(1, 0, 1)]
     for k in range(2, n + 1):
-        seen: set[int] = set()
+        seen: dict[int, int] = {}  # code -> |Aut|, the same for every hit
         new = 1 << (k - 1)
         for rep in reps:
             beats = kernels._out_masks(rep.skew)
@@ -365,8 +390,9 @@ def enumerate_tournaments(n: int, classes: bool = False) -> Iterator[Tournament]
             for b in range(new):
                 ext = [w if b >> v & 1 else w | new for v, w in enumerate(beats)]
                 ext.append(b)
-                seen.add(kernels._search(ext)[0])
-        reps = [Tournament.from_bits(k, code) for code in sorted(seen)]
+                code, aut, _ = kernels._search(ext)
+                seen[code] = aut
+        reps = [_representative(k, code, aut) for code, aut in sorted(seen.items())]
     yield from reps
 
 

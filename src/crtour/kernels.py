@@ -60,6 +60,18 @@ mapping the vertex at each position of one leaf to the vertex at the
 same position of the other is an isomorphism.  The work follows the
 number of tied prefixes, not n!: rigid tournaments keep one, and Paley
 23 keeps at most |Aut| = 253 per level.
+
+The search of a canonical labelling, a tournament whose own bits are
+its code, returns (its bits, |Aut|, the identity).  The identity
+reaches the code, so it is a surviving leaf, and by induction the
+identity prefix 0..i-1 is the first state at each level i.  Cells are
+placed in order, so its first cell holds the vertices that leaf places
+next, i, i+1, ...; their lowest, i, is the first candidate scored at
+the level and attains the level minimum, so no later row displaces it
+and prefix 0..i is the first state of level i+1.
+``core.enumerate_tournaments`` relies on this: each class
+representative it builds from a code carries this triple, so it is
+never searched again.
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ from crtour import (
     transitive_tournament,
     z_matrix,
 )
+from crtour import kernels
 from crtour.blowup import blowup
 from crtour.core import ENUM_LIMIT, _chain, _pm1_sequence, automorphism_count
 
@@ -390,6 +391,14 @@ def test_enumerate_labeled_counts():
         assert sum(1 for _ in enumerate_tournaments(n)) == 1 << m
 
 
+def _assert_carries_fresh_search(reps):
+    # each representative carries exactly what a fresh search of it
+    # returns: its own bits, |Aut| and the identity leaf
+    for t in reps:
+        assert t._canon == kernels._canonical_search(t.skew)
+        assert t._canon == (t.packed(), automorphism_count(t), tuple(range(t.n)))
+
+
 def test_enumerate_classes_complete_and_distinct(classes):
     # distinct canonical codes prove pairwise non-isomorphism; the
     # orbit-size sum hitting 2^(n(n-1)/2) proves completeness
@@ -402,6 +411,7 @@ def test_enumerate_classes_complete_and_distinct(classes):
             math.factorial(n) // automorphism_count(t) for t in reps
         )
         assert total == 1 << (n * (n - 1) // 2)
+        _assert_carries_fresh_search(reps)
 
 
 def test_enumerate_class_counts(classes):
@@ -415,6 +425,22 @@ def test_enumerate_order7_classes_complete():
     total = sum(math.factorial(7) // automorphism_count(t) for t in reps)
     assert total == 1 << 21
     assert len(reps) == 456
+    _assert_carries_fresh_search(reps)
+
+
+def test_census_questions_on_representatives_run_no_search(monkeypatch):
+    reps = list(enumerate_tournaments(7, classes=True))
+
+    def no_search(*_args):
+        raise AssertionError("a class representative was searched again")
+
+    monkeypatch.setattr(kernels, "_search", no_search)
+    monkeypatch.setattr(kernels, "_canonical_search", no_search)
+    total = sum(math.factorial(7) // automorphism_count(t) for t in reps)
+    assert total == 1 << 21
+    for t in reps:
+        assert canonical_encoding(t) == t.packed()
+        assert is_isomorphic(t, t) == tuple(range(7))
 
 
 def test_enumerate_order8_classes():
@@ -426,6 +452,7 @@ def test_enumerate_order8_classes():
     assert [t.packed() for t in reps] == codes
     total = sum(math.factorial(8) // automorphism_count(t) for t in reps)
     assert total == 1 << 28
+    _assert_carries_fresh_search(reps)
 
 
 def test_enumerate_rejects_beyond_cap(monkeypatch):
@@ -461,14 +488,29 @@ def _relabelings(t, rng, k):
 
 
 def test_canonical_forms_match_oracles_on_every_small_class(classes):
+    # only the representative itself carries its enumeration's search:
+    # a stale identity leaf on a relabelled copy would make
+    # is_isomorphic return a wrong witness
     rng = random.Random(43)
+    draw = random.Random(53)
     for n in range(1, 7):
         for rep in classes[n]:
             code = int(oracles.brute_canonical_bits(rep) or "0", 2)
             aut = oracles.brute_aut_count(rep)
-            for t in (rep, *_relabelings(rep, rng, 3)):
+            copies = (Tournament(rep.skew), Tournament.from_bits(n, rep.bits()))
+            for t in (rep, *copies, *_relabelings(rep, rng, 3)):
+                assert t is rep or t._canon is None
                 assert canonical_encoding(t) == code
                 assert automorphism_count(t) == aut
+                phi = is_isomorphic(rep, t)
+                assert phi is not None and apply_permutation(rep, phi) == t
+            w = {v for v in range(n) if draw.random() < 0.5}
+            u = draw.sample(range(n), draw.randint(1, n))
+            for t in (switch(rep, w), induced(rep, u)):
+                assert t._canon is None
+                bits = oracles.brute_canonical_bits(t)
+                assert canonical_encoding(t) == int(bits or "0", 2)
+                assert automorphism_count(t) == oracles.brute_aut_count(t)
 
 
 def test_canonical_forms_match_oracles_at_order7():
