@@ -287,8 +287,11 @@ def first_minor_above(s, bound: int) -> int:
 
 def _out_masks(s) -> list[int]:
     """beats[v], the bitmask of the vertices v beats, in exact python ints."""
-    rows = (_as_i64(s) > 0).tolist()
-    return [sum(1 << u for u, b in enumerate(row) if b) for row in rows]
+    packed = np.packbits(_as_i64(s) > 0, axis=1, bitorder="little")
+    raw, width = packed.tobytes(), max(packed.shape[1], 1)  # 0 columns: no rows
+    return [
+        int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)
+    ]
 
 
 def _canonical_search(s) -> tuple[int, int, tuple[int, ...]]:
@@ -304,33 +307,45 @@ def _search(beats: list[int]) -> tuple[int, int, tuple[int, ...]]:
     so far and the ordered cells (bitmasks of unplaced vertices) it
     leaves; every state's prefix is code-minimal.  Pass 1 scores every
     (state, candidate) row from popcounts, pass 2 splits the cells only
-    of the pairs at the level minimum."""
+    of the pairs at the level minimum.
+
+    Nothing is allocated per candidate.  Scoring reads the cells in
+    place, with candidate v still in the first cell: v does not beat
+    itself, so that cell's won count is unchanged, and its width only
+    shifts the row's starting 0.  A row of level i has n-1-i bits, so
+    2^(n-1-i) is above every row."""
     n = len(beats)
     states = [((), [(1 << n) - 1])]
     code = 0
     for i in range(n - 1):
-        best, hits = -1, []
-        for placed, (first, *rest) in states:
-            cand = first
+        best, hits = 1 << (n - 1 - i), []
+        for placed, cells in states:
+            cand = cells[0]
             while cand:
                 low = cand & -cand
                 cand ^= low
                 wins = beats[low.bit_length() - 1]
                 row = 0
-                for c in (first ^ low, *rest):
+                for c in cells:
                     row = (row << c.bit_count()) | ((1 << (c & wins).bit_count()) - 1)
-                if row < best or best < 0:
-                    best, hits = row, [(placed, first, rest, low)]
+                if row < best:
+                    best, hits = row, [(placed, cells, low)]
                 elif row == best:
-                    hits.append((placed, first, rest, low))
+                    hits.append((placed, cells, low))
         states = []
-        for placed, first, rest, low in hits:
+        for placed, cells, low in hits:
             v = low.bit_length() - 1
-            cells = []
-            for c in (first ^ low, *rest):
-                won = c & beats[v]
-                cells += [x for x in (c ^ won, won) if x]
-            states.append((placed + (v,), cells))
+            wins = beats[v]
+            loses = ~(wins | low)  # the vertices beating v
+            split = []
+            for c in cells:
+                lost = c & loses
+                if lost:
+                    split.append(lost)
+                won = c & wins
+                if won:
+                    split.append(won)
+            states.append((placed + (v,), split))
         code = (code << (n - 1 - i)) | best
     placed, cells = states[0]
     return code, len(states), placed + tuple(c.bit_length() - 1 for c in cells if c)

@@ -195,12 +195,9 @@ def brute_switching_equivalent(t1: Tournament, t2: Tournament):
 
 
 def relabel(t: Tournament, phi) -> Tournament:
-    n = t.n
-    arr = np.zeros((n, n), np.int8)
-    for u in range(n):
-        for v in range(n):
-            arr[phi[u], phi[v]] = t.skew[u, v]
-    return Tournament(arr)
+    """Old vertex u becomes phi[u]: position a holds old vertex inv[a]."""
+    inv = np.argsort(phi)
+    return Tournament(t.skew[np.ix_(inv, inv)])
 
 
 def brute_isomorphic(t1: Tournament, t2: Tournament):
@@ -222,16 +219,20 @@ def brute_switching_isomorphic(t1: Tournament, t2: Tournament):
     return None
 
 
-def brute_canonical_bits(t: Tournament) -> str:
-    return min(relabel(t, phi).bits() for phi in itertools.permutations(range(t.n)))
-
-
-def brute_aut_count(t: Tournament) -> int:
-    return sum(
-        1
-        for phi in itertools.permutations(range(t.n))
-        if relabel(t, phi) == t
-    )
+def brute_canonical(t: Tournament) -> tuple[str, int]:
+    """(least row-major upper-triangle bit string over all n!
+    relabelings, number of relabelings whose bits are t's own), in one
+    pass over the relabelings.  Each is read as ``relabel``'s gather by
+    its inverse, and inversion permutes the permutations, so every
+    relabeling is visited exactly once."""
+    iu, ju = np.triu_indices(t.n, 1)
+    own = (t.skew[iu, ju] > 0).tobytes()
+    best, aut = own, 0
+    for inv in itertools.permutations(range(t.n)):
+        bits = (t.skew[np.ix_(inv, inv)][iu, ju] > 0).tobytes()
+        best = min(best, bits)
+        aut += bits == own
+    return "".join("01"[b] for b in best), aut
 
 
 def brute_is_transitive(t: Tournament) -> bool:

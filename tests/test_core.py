@@ -393,10 +393,20 @@ def test_enumerate_labeled_counts():
 
 def _assert_carries_fresh_search(reps):
     # each representative carries exactly what a fresh search of it
-    # returns: its own bits, |Aut| and the identity leaf
+    # returns: its own bits, |Aut| and the identity leaf.  A seeded
+    # relabelling of every class, the symmetric ones (most tied
+    # prefixes) included, searches back to that code and |Aut|, and
+    # its leaf relabels it onto the code.
+    rng = random.Random(78)
     for t in reps:
         assert t._canon == kernels._canonical_search(t.skew)
         assert t._canon == (t.packed(), automorphism_count(t), tuple(range(t.n)))
+        moved = apply_permutation(t, rng.sample(range(t.n), t.n))
+        code, aut, leaf = kernels._canonical_search(moved.skew)
+        assert (code, aut) == t._canon[:2]
+        # leaf[i] is the vertex of moved placed at position i
+        phi = [leaf.index(v) for v in range(t.n)]
+        assert apply_permutation(moved, phi).packed() == code
 
 
 def test_enumerate_classes_complete_and_distinct(classes):
@@ -469,14 +479,14 @@ def test_automorphism_count_matches_bruteforce():
     rng = random.Random(29)
     for _ in range(40):
         t = oracles.random_tournament(rng, rng.randint(1, 5))
-        assert automorphism_count(t) == oracles.brute_aut_count(t)
+        assert automorphism_count(t) == oracles.brute_canonical(t)[1]
 
 
 def test_canonical_encoding_matches_bruteforce():
     rng = random.Random(31)
     for _ in range(40):
         t = oracles.random_tournament(rng, rng.randint(2, 5))
-        ref = int(oracles.brute_canonical_bits(t), 2)
+        ref = int(oracles.brute_canonical(t)[0], 2)
         assert canonical_encoding(t) == ref
 
 
@@ -495,8 +505,8 @@ def test_canonical_forms_match_oracles_on_every_small_class(classes):
     draw = random.Random(53)
     for n in range(1, 7):
         for rep in classes[n]:
-            code = int(oracles.brute_canonical_bits(rep) or "0", 2)
-            aut = oracles.brute_aut_count(rep)
+            bits, aut = oracles.brute_canonical(rep)
+            code = int(bits or "0", 2)
             copies = (Tournament(rep.skew), Tournament.from_bits(n, rep.bits()))
             for t in (rep, *copies, *_relabelings(rep, rng, 3)):
                 assert t is rep or t._canon is None
@@ -508,17 +518,18 @@ def test_canonical_forms_match_oracles_on_every_small_class(classes):
             u = draw.sample(range(n), draw.randint(1, n))
             for t in (switch(rep, w), induced(rep, u)):
                 assert t._canon is None
-                bits = oracles.brute_canonical_bits(t)
+                bits, aut = oracles.brute_canonical(t)
                 assert canonical_encoding(t) == int(bits or "0", 2)
-                assert automorphism_count(t) == oracles.brute_aut_count(t)
+                assert automorphism_count(t) == aut
 
 
 def test_canonical_forms_match_oracles_at_order7():
     rng = random.Random(47)
     for _ in range(10):
         t = oracles.random_tournament(rng, 7)
-        assert canonical_encoding(t) == int(oracles.brute_canonical_bits(t), 2)
-        assert automorphism_count(t) == oracles.brute_aut_count(t)
+        bits, aut = oracles.brute_canonical(t)
+        assert canonical_encoding(t) == int(bits, 2)
+        assert automorphism_count(t) == aut
 
 
 def test_transitive_canonical_form():

@@ -333,3 +333,18 @@ def test_cached_tables_give_fresh_answers():
     exec(_ANSWERS_BY_ORDER.replace("print(json.dumps(out))", ""), here)
     # compared as text, so witness_map key order counts too
     assert fresh.strip() == json.dumps(here["out"])
+
+
+@pytest.mark.parametrize("n", [1, 8, 62, 63, 64, 65, 100])
+def test_out_masks_match_a_double_loop_across_the_int64_boundary(n):
+    # bit u of beats[v] is set exactly when v beats u, at orders on both
+    # sides of 64 bits
+    rng = random.Random(n)
+    randoms = [_random_skew(rng, n) for _ in range(3)]
+    for s in (transitive_tournament(n).skew, *randoms):
+        ref = [0] * n
+        for v in range(n):
+            for u in range(n):
+                if s[v, u] > 0:
+                    ref[v] |= 1 << u
+        assert kernels._out_masks(s) == ref
